@@ -14,9 +14,15 @@ the CI bench baseline and emits ``repro.bench_meta/1`` entries via
 ``REPRO_BENCH_JSON``; the 10k columnar point is marked ``slow``
 (``--runslow``) and pins the headline claim: per node-tick, the
 columnar engine at 10k nodes is >= 10x faster than the reference
-engine at 1k.  At 10k the full candidate scan is the dominant cost in
-*either* engine, so the 10k run sets ``reconfig.scan_budget`` — see
-README "Scaling up".
+engine at 1k.  That 10k run sets ``reconfig.scan_budget``, the knob
+that keeps epochs linear in swarm size on either engine — see README
+"Scaling up".
+
+The rewire-kernel benches time the columnar reconfiguration epoch:
+the 1k point (CI) runs the same window with the kernel and with numpy
+gated off, asserts identical reports and dumps the within-run epoch
+speedup; the ``slow`` 10k point runs one full-scan epoch (no
+``scan_budget``) and reports its wall time.
 
 The incremental-maintenance benches A/B the absorb path
 (``OverlayNode.incremental_cards`` / ``OverlaySimulator.
@@ -32,6 +38,7 @@ import time
 import pytest
 from conftest import print_series, write_bench_json
 
+import repro.hashing.batch as batch
 from repro.api import build, specs
 from repro.overlay.node import OverlayNode
 from repro.overlay.simulator import OverlaySimulator
@@ -207,6 +214,130 @@ def test_engine_scaling_1k(benchmark):
     )
     # ...and the columnar engine must actually be the fast one.
     assert col_wall < ref_wall
+
+
+# -- rewire kernel: vectorised epoch vs the scalar fallback -----------------
+#
+# The columnar engine decides informed min-wise rewiring from each
+# receiver's match-count row (UtilityRewiring.decide).  Gating numpy
+# off through repro.hashing.batch._numpy sends the same engine down the
+# pure-Python path, whose scalar UtilityRewiring.rewire is the oracle:
+# both runs share one process, so the epoch ratio cancels runner speed.
+
+
+def _epoch_timed_window(num_peers, numpy_on, ticks=ADAPTIVE_TICKS, scan_budget=0):
+    """(wall, epoch seconds, epochs, report) of a columnar window."""
+    saved = batch._numpy
+    if not numpy_on:
+        batch._numpy = lambda: None
+    try:
+        sim = _adaptive_style_sim("columnar", num_peers, scan_budget)
+        epochs = []
+        epoch = sim._reconfigure
+
+        def timed_epoch():
+            t0 = time.perf_counter()
+            epoch()
+            epochs.append(time.perf_counter() - t0)
+
+        sim._reconfigure = timed_epoch
+        t0 = time.perf_counter()
+        for _ in range(ticks):
+            sim.tick()
+        return time.perf_counter() - t0, sum(epochs), len(epochs), sim.report()
+    finally:
+        batch._numpy = saved
+
+
+def test_rewire_kernel_1k(benchmark):
+    """CI point: the kernel epoch is report-identical to the scalar one.
+
+    The 1k adaptive-style window (full candidate scans) on the columnar
+    engine, with the kernel and with numpy gated off.  The reports must
+    agree field for field; the within-run epoch speedup is printed and
+    dumped as a ``repro.bench_meta/1`` ratio entry.
+    """
+    results = {}
+
+    def sweep():
+        results["kernel"] = _epoch_timed_window(1000, numpy_on=True)
+        results["scalar"] = _epoch_timed_window(1000, numpy_on=False)
+        return results
+
+    benchmark.pedantic(sweep, rounds=1, iterations=1)
+    k_wall, k_epochs, k_count, k_report = results["kernel"]
+    s_wall, s_epochs, s_count, s_report = results["scalar"]
+    speedup = s_epochs / k_epochs
+    print_series(
+        "rewire kernel vs scalar epoch, adaptive-style 1k (full scan)",
+        [
+            f"kernel: epochs={k_count}  epoch_s={k_epochs:6.3f}  wall={k_wall:6.2f}s",
+            f"scalar: epochs={s_count}  epoch_s={s_epochs:6.3f}  wall={s_wall:6.2f}s",
+            f"within-run epoch speedup: {speedup:.1f}x",
+        ],
+    )
+    write_bench_json(
+        "sim_rewire_kernel",
+        [
+            {
+                "schema": "repro.bench_meta/1",
+                "name": "sim_rewire_kernel_columnar_1000",
+                "engine": "columnar",
+                "peers": 1000,
+                "ticks": ADAPTIVE_TICKS,
+                "epochs": k_count,
+                "kernel_epoch_seconds": k_epochs,
+                "scalar_epoch_seconds": s_epochs,
+                "epoch_speedup": speedup,
+                "unit": "ratio",
+            }
+        ],
+    )
+    assert k_count == s_count > 0
+    assert k_report == s_report
+
+
+@pytest.mark.slow
+def test_full_scan_10k_epoch(benchmark):
+    """Acceptance: one full-scan epoch at 10k peers, no ``scan_budget``.
+
+    Every receiver scores every peer (10^8 card comparisons) through
+    the blocked match counts and the rewire kernel; the epoch's wall
+    time is reported.
+    """
+    results = {}
+
+    def window():
+        results["run"] = _epoch_timed_window(10_000, numpy_on=True, ticks=5)
+        return results
+
+    benchmark.pedantic(window, rounds=1, iterations=1)
+    wall, epoch_s, count, report = results["run"]
+    print_series(
+        "full-scan epoch at 10k (columnar, no scan_budget)",
+        [
+            f"epochs={count}  epoch_s={epoch_s:6.2f}  wall={wall:6.2f}s  "
+            f"reconfigurations={report.reconfigurations}"
+        ],
+    )
+    write_bench_json(
+        "sim_full_scan_10k",
+        [
+            {
+                "schema": "repro.bench_meta/1",
+                "name": "sim_full_scan_columnar_10k",
+                "engine": "columnar",
+                "peers": 10_000,
+                "ticks": 5,
+                "scan_budget": 0,
+                "epochs": count,
+                "epoch_seconds": epoch_s,
+                "wall_seconds": wall,
+            }
+        ],
+    )
+    assert count == 1
+    assert report.reconfigurations > 0
 
 
 # -- incremental summary maintenance: absorb vs rebuild --------------------

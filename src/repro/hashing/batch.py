@@ -68,29 +68,65 @@ _MINIMA_CHUNK = 1 << 16
 
 
 def _family_columns(family, np):
-    """Cached ``(a, b)`` column vectors for a permutation family.
+    """Cached ``(a, b)`` uint64 coefficient vectors for a permutation family.
 
     Families are shared, long-lived objects (peers fix them off-line),
-    so the uint64 coefficient columns are built once and memoised on
-    the instance.
+    so the coefficient vectors are built once and memoised on the
+    instance.
     """
     cols = getattr(family, "_batch_columns", None)
     if cols is None:
         count = len(family)
         a = np.fromiter((p.a for p in family), dtype=np.uint64, count=count)
         b = np.fromiter((p.b for p in family), dtype=np.uint64, count=count)
-        cols = (a[:, None], b[:, None])
+        cols = (a, b)
         family._batch_columns = cols
     return cols
+
+
+def _minima_array(family, key_list: List[int], np):
+    """uint64 minima of a non-empty key list, or None off the numpy path.
+
+    Evaluates every ``(a*x + b) mod u`` map over all keys at once: a
+    keys-by-permutations matrix per chunk, transformed in place and
+    reduced down its contiguous axis.  ``a*x + b`` stays below 2^64 for
+    ``a, b, x < u <= 2^32``, so the uint64 arithmetic is exact; chunking
+    the key axis caps the temporary, and the chunkwise elementwise
+    minimum equals the single-pass minimum.  Returns None when the
+    universe is too wide or a key does not fit uint64 (negative or
+    wider than 64 bits) — the caller's scalar path then rejects it.
+
+    Raises:
+        ValueError: if any key falls outside ``[0, u)``.
+    """
+    u = family.universe_size
+    if u > 1 << 32:
+        return None
+    try:
+        keys64 = np.asarray(key_list, dtype=np.uint64)
+    except (OverflowError, TypeError, ValueError):
+        return None
+    # Vectorised range check replaces a per-key Python loop.
+    if int(keys64.max()) >= u:
+        raise ValueError("key outside the family's universe")
+    a, b = _family_columns(family, np)
+    modulus = np.uint64(u)
+    minima = None
+    for start in range(0, len(keys64), _MINIMA_CHUNK):
+        block = np.multiply.outer(keys64[start : start + _MINIMA_CHUNK], a)
+        block += b
+        block %= modulus
+        part = block.min(axis=0)
+        minima = part if minima is None else np.minimum(minima, part, out=minima)
+    return minima
 
 
 def permutation_minima(family, keys: Iterable[int]) -> List[Optional[int]]:
     """Per-permutation minima of ``keys`` under a permutation family.
 
     The batched core of :meth:`repro.sketches.MinwiseSketch.
-    build_vectorized`, shared with the reconcile adapters: evaluates
-    every ``(a*x + b) mod u`` map over all keys at once — one
-    permutations-by-keys matrix per chunk rather than a per-map Python
+    build_vectorized`, shared with the reconcile adapters: one
+    vectorised pass over all keys and maps rather than a per-map Python
     loop.  Identical to the scalar loop; an empty key set yields
     all-``None`` minima.
 
@@ -102,28 +138,10 @@ def permutation_minima(family, keys: Iterable[int]) -> List[Optional[int]]:
     if not key_list:
         return [None] * len(family)
     np = _numpy()
-    if np is not None and u <= 1 << 32:
-        try:
-            # Negative or >64-bit keys fail the uint64 conversion and
-            # drop to the scalar path, whose explicit check rejects them.
-            keys64 = np.asarray(key_list, dtype=np.uint64)
-        except (OverflowError, TypeError, ValueError):
-            keys64 = None
-        if keys64 is not None:
-            # Vectorised range check replaces a per-key Python loop.
-            if int(keys64.max()) >= u:
-                raise ValueError("key outside the family's universe")
-            # (a*x + b) stays below 2^64 for a < u <= 2^32.  Chunking
-            # the key axis caps the temporary matrix; the chunkwise
-            # elementwise minimum equals the single-pass minimum.
-            a, b = _family_columns(family, np)
-            with np.errstate(over="ignore"):
-                minima = None
-                for start in range(0, len(keys64), _MINIMA_CHUNK):
-                    chunk = keys64[start : start + _MINIMA_CHUNK]
-                    part = ((a * chunk[None, :] + b) % np.uint64(u)).min(axis=1)
-                    minima = part if minima is None else np.minimum(minima, part)
-            return [int(v) for v in minima]
+    if np is not None:
+        minima = _minima_array(family, key_list, np)
+        if minima is not None:
+            return minima.tolist()
     # Wide universes overflow uint64 (and no-numpy environments):
     # Python ints per permutation, still a single pass per map.
     for x in key_list:
@@ -155,25 +173,12 @@ def permutation_minima_fold(
     if not key_list:
         return list(floor)
     np = _numpy()
-    u = family.universe_size
-    if np is not None and u <= 1 << 32 and None not in floor:
-        try:
-            keys64 = np.asarray(key_list, dtype=np.uint64)
-        except (OverflowError, TypeError, ValueError):
-            keys64 = None
-        if keys64 is not None:
-            if int(keys64.max()) >= u:
-                raise ValueError("key outside the family's universe")
-            a, b = _family_columns(family, np)
-            with np.errstate(over="ignore"):
-                merged = np.fromiter(
-                    floor, dtype=np.uint64, count=len(floor)
-                )
-                for start in range(0, len(keys64), _MINIMA_CHUNK):
-                    chunk = keys64[start : start + _MINIMA_CHUNK]
-                    part = ((a * chunk[None, :] + b) % np.uint64(u)).min(axis=1)
-                    np.minimum(merged, part, out=merged)
-            return [int(v) for v in merged]
+    if np is not None and None not in floor:
+        minima = _minima_array(family, key_list, np)
+        if minima is not None:
+            merged = np.array(floor, dtype=np.uint64)
+            np.minimum(merged, minima, out=merged)
+            return merged.tolist()
     delta = permutation_minima(family, key_list)
     return [
         d if m is None else (m if d is None else min(m, d))

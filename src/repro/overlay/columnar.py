@@ -15,18 +15,25 @@ artefacts once per receiver instead of once per connection:
   summary is identical for all of its senders, so the periodic refresh
   builds it once per receiver and fans it out (the reference engine
   rebuilds it per connection).
-* **Summary-card matrix** — min-wise cards become rows of an int64
-  matrix (sentinel ``-1`` for empty positions); a reconfiguration
-  epoch computes every receiver-candidate resemblance with one
-  vectorised comparison per receiver and feeds the exact floats into a
+* **Rewire kernel** — min-wise cards live as rows of a persistent
+  int64 matrix, rewritten in place when a node's set changes; an
+  informed epoch counts every receiver's matching minima against every
+  candidate in blocked numpy batches and hands the resulting utility
+  vector to :meth:`~repro.overlay.reconfiguration.UtilityRewiring.decide`,
+  which replays :meth:`~repro.overlay.reconfiguration.UtilityRewiring.
+  rewire`'s decision (ties included) without a per-candidate Python
+  call.  The kernel runs only for a plain ``UtilityRewiring`` over a
+  plain min-wise ``SummaryScheme`` whose universe fits int64 rows;
+  policy or scheme subclasses (e.g. ``CatalogScheme``) keep their own
+  ``rewire()`` and read the same vectorised values through a
   :meth:`~repro.overlay.reconfiguration.SummaryScheme.set_memo` memo,
-  so the admission checks inside ``connect()`` hit the cache instead
-  of re-walking 128 minima in Python.
+  and other kinds take the reference epoch under that memo.
 
 Numpy is optional, following the :mod:`repro.hashing.batch` contract:
-without it the tick loop falls back to the reference implementation
-and the refresh/reconfigure passes keep their algorithmic wins
-(per-receiver dedup and epoch memoisation), which are pure Python.
+without it the tick loop falls back to the reference implementation,
+the epoch to the reference loop under the usefulness memo (the scalar
+``rewire()`` is the kernel's oracle), and the refresh pass keeps its
+per-receiver dedup, which is pure Python.
 
 **Parity.** Every branch preserves the reference engine's RNG
 consumption order and float arithmetic bit-for-bit: seeded runs
@@ -39,10 +46,11 @@ mid-run retuning must go through the ``Connection.bandwidth`` /
 ``Connection.mutations``) — mutating a link object directly behind an
 eligible connection's back leaves its column stale.
 
-**Scaling.** At 10k nodes a full candidate scan per receiver is
-O(N²) even vectorised — give the spec a ``reconfig.scan_budget`` so
-epochs sample candidates, and the engine's per-epoch cost stays
-O(N × budget).
+**Scaling.** A full candidate scan is still O(N²) card comparisons
+per epoch, but they run as narrow-integer numpy compares: a 10k-peer
+full-scan epoch is affordable (``benchmarks/bench_sim_scaling.py``
+reports its wall time).  ``reconfig.scan_budget`` samples candidates
+instead and keeps the epoch O(N × budget).
 """
 
 import math
@@ -50,7 +58,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.hashing import batch as _batch
 from repro.overlay.node import OverlayNode
-from repro.overlay.reconfiguration import SummaryScheme
+from repro.overlay.reconfiguration import SummaryScheme, UtilityRewiring
 from repro.overlay.simulator import Connection, OverlaySimulator
 from repro.sim.links import CREDIT_EPS, ConstantRateLink
 
@@ -59,34 +67,201 @@ _DEFAULT_UNIVERSE = 1 << 32
 
 
 class _MinwiseCardMatrix:
-    """Flat int64 card rows for one min-wise scheme.
+    """Persistent int64 card rows for one min-wise scheme.
 
-    A node's row is its card's minima with ``None`` mapped to ``-1``.
-    Rows are dirty-stamped by the working set's *version* (and object
-    identity, guarding node-id reuse across churn): a budgeted epoch
-    over a mostly idle swarm re-derives only the rows whose sets
-    actually changed — and those through the card's incremental absorb
-    path, so the per-epoch cost tracks new symbols, not swarm size.
+    Every non-empty node owns one row of :attr:`matrix` holding its
+    card's minima (a non-empty set has no empty positions, so rows need
+    no sentinel).  Rows are dirty-stamped by the working set's *version*
+    (and object identity, guarding node-id reuse across churn): an epoch
+    over a mostly idle swarm rewrites, in place, only the rows whose
+    sets actually changed — and those through the card's incremental
+    absorb path, so the per-epoch cost tracks new symbols, not swarm
+    size.  Rows of departed nodes return to a free list (:meth:`prune`),
+    so the matrix is bounded by the peak live population.
     """
 
     def __init__(self, scheme: SummaryScheme, np):
         self.scheme = scheme
         self.np = np
-        self._rows: Dict[str, Tuple[object, int, object]] = {}
+        self.matrix = None
+        self._slots: Dict[str, Tuple[object, int, int]] = {}
+        self._free: List[int] = []
 
-    def row_of(self, node: OverlayNode):
+    def __len__(self) -> int:
+        return len(self._slots)
+
+    def _grow(self, width: int) -> None:
+        np = self.np
+        old = self.matrix
+        size = 0 if old is None else old.shape[0]
+        grown = np.empty((max(64, 2 * size), width), dtype=np.int64)
+        if old is not None:
+            grown[:size] = old
+        self.matrix = grown
+        self._free.extend(range(grown.shape[0] - 1, size - 1, -1))
+
+    def slot_of(self, node: OverlayNode) -> int:
+        """Row index of a non-empty node's current card."""
         ws = node.working_set
-        cached = self._rows.get(node.node_id)
+        cached = self._slots.get(node.node_id)
         if cached is not None and cached[0] is ws and cached[1] == ws.version:
             return cached[2]
         minima = self.scheme.card_of(node).minima
-        row = self.np.fromiter(
-            (-1 if m is None else m for m in minima),
-            dtype=self.np.int64,
-            count=len(minima),
+        if cached is not None:
+            slot = cached[2]
+        else:
+            if not self._free:
+                self._grow(len(minima))
+            slot = self._free.pop()
+        self.matrix[slot] = minima
+        self._slots[node.node_id] = (ws, ws.version, slot)
+        return slot
+
+    def prune(self, live) -> None:
+        """Free the rows of nodes not in ``live`` (lazy, only when oversized)."""
+        if len(self._slots) > len(live):
+            for nid in [n for n in self._slots if n not in live]:
+                self._free.append(self._slots.pop(nid)[2])
+
+
+class _EpochScores:
+    """One epoch's usefulness vectors, straight from min-wise match counts.
+
+    :meth:`score` gives a receiver's utility over its candidate list as
+    a float64 vector: ``1.0 - matches / entries`` for non-empty peers
+    (bit-identical to :meth:`MinwiseSummary.estimate_resemblance`'s
+    complement, via a lookup table over the possible match counts),
+    ``1.0`` for sources and ``-inf`` for empty non-sources.  Working
+    sets cannot change inside an epoch, so a full scan computes the
+    match counts of every receiver up front, a block of receivers at a
+    time; a budgeted scan compares each receiver against its sampled
+    candidates only.
+    """
+
+    def __init__(self, np, all_nodes, eligible, rows, receivers, full_scan):
+        self.np = np
+        self.column = {n.node_id: i for i, n in enumerate(eligible)}
+        self.rows = rows
+        if rows is not None:
+            entries = rows.shape[1]
+            # lut[m] is exactly usefulness()'s 1.0 - m / entries.
+            self.lut = 1.0 - np.arange(entries + 1) / entries
+        self._vectors = None
+        if full_scan:
+            self.position = {n.node_id: i for i, n in enumerate(all_nodes)}
+            self._vectors = self._full_scan_vectors(all_nodes, receivers)
+
+    def _group_ids(self):
+        """``(entries, E)`` per-position ids: equal minima, equal ids.
+
+        Recoding each column's minima to small dense ids lets the match
+        count run on narrow integers instead of int64.
+        """
+        np = self.np
+        minima = self.rows.T
+        count = minima.shape[1]
+        dtype = np.min_scalar_type(count)
+        order = np.argsort(minima, axis=1)
+        ordered = np.take_along_axis(minima, order, axis=1)
+        ranked = np.zeros(minima.shape, dtype=dtype)
+        np.cumsum(
+            ordered[:, 1:] != ordered[:, :-1], axis=1, dtype=dtype, out=ranked[:, 1:]
         )
-        self._rows[node.node_id] = (ws, ws.version, row)
-        return row
+        ids = np.empty(minima.shape, dtype=dtype)
+        np.put_along_axis(ids, order, ranked, axis=1)
+        return ids
+
+    def _full_scan_vectors(self, all_nodes, receivers):
+        """Yield each receiver's utility vector over ``all_nodes``.
+
+        The match counts span every node's column: sources and empty
+        peers carry an id no receiver holds, so they match nowhere
+        (utility 1.0, exact for sources; empties are then masked), and
+        an empty receiver carries another id that matches nowhere.
+        """
+        np = self.np
+        count = len(all_nodes)
+        position = self.position
+        empty = [
+            i
+            for i, n in enumerate(all_nodes)
+            if not n.is_source and n.node_id not in self.column
+        ]
+        if self.rows is None:
+            vector = np.ones(count)
+            vector[empty] = -math.inf
+            for _ in receivers:
+                yield vector.copy()
+            return
+        ids = self._group_ids()
+        unmatched = len(self.column)  # above every group id
+        padded = np.full(
+            (ids.shape[0], count + 1),
+            unmatched + 1,
+            dtype=np.min_scalar_type(unmatched + 1),
+        )
+        padded[:, [position[nid] for nid in self.column]] = ids
+        padded[:, count] = unmatched
+        columns = padded[:, :count]
+        own = {nid: position[nid] for nid in self.column}
+        tally = np.min_scalar_type(ids.shape[0])
+        block = max(16, (1 << 20) // count)
+        for start in range(0, len(receivers), block):
+            chunk = receivers[start : start + block]
+            mine = padded[:, [own.get(r.node_id, count) for r in chunk]]
+            counts = np.zeros((len(chunk), count), dtype=tally)
+            same = np.empty(counts.shape, dtype=bool)
+            for j in range(ids.shape[0]):
+                np.equal(mine[j][:, None], columns[j], out=same)
+                counts += same.view(np.uint8)
+            vectors = self.lut[counts]
+            vectors[:, empty] = -math.inf
+            yield from vectors
+
+    def score(self, receiver, current, candidates):
+        """``(utilities, sender_utilities, blocked)`` for one receiver.
+
+        ``utilities`` covers every candidate, the receiver itself and
+        current senders included; ``blocked`` lists those positions for
+        the caller to mask.  A full scan must call this once per
+        receiver, in the order the epoch was built with.
+        """
+        if self._vectors is not None:
+            utilities = next(self._vectors)
+            position = self.position
+            at = [position[s.node_id] for s in current]
+            values = utilities[at].tolist()
+            at.append(position[receiver.node_id])
+            blocked = at
+        else:
+            count = len(candidates)
+            peers = candidates + current
+            values = [1.0 if p.is_source else -math.inf for p in peers]
+            column = self.column
+            cols, at = [], []
+            for i, p in enumerate(peers):
+                col = None if p.is_source else column.get(p.node_id)
+                if col is not None:
+                    cols.append(col)
+                    at.append(i)
+            if cols:
+                own = column.get(receiver.node_id)
+                if own is None:
+                    found = [1.0] * len(cols)  # an empty receiver matches nowhere
+                else:
+                    rows = self.rows
+                    matches = (rows.take(cols, axis=0) == rows[own]).sum(axis=1)
+                    found = self.lut[matches].tolist()
+                for i, v in zip(at, found):
+                    values[i] = v
+            utilities = self.np.array(values[:count])
+            values = values[count:]
+            masked = {s.node_id for s in current}
+            masked.add(receiver.node_id)
+            blocked = [i for i, c in enumerate(candidates) if c.node_id in masked]
+        # Empty senders read -inf as candidates but 1.0 as senders.
+        senders = [v if v > -math.inf else 1.0 for v in values]
+        return utilities, senders, blocked
 
 
 class ColumnarOverlaySimulator(OverlaySimulator):
@@ -269,7 +444,8 @@ class ColumnarOverlaySimulator(OverlaySimulator):
         return artifact
 
     def _prune_receiver_caches(self) -> None:
-        """Drop artefacts for departed nodes (lazy, only when oversized)."""
+        """Drop artefacts and card rows for departed nodes (lazy, only
+        when oversized)."""
         for attr in ("_receiver_filters", "_receiver_summaries"):
             cache = getattr(self, attr)
             if len(cache) > len(self.nodes):
@@ -278,6 +454,8 @@ class ColumnarOverlaySimulator(OverlaySimulator):
                     attr,
                     {k: v for k, v in cache.items() if k in self.nodes},
                 )
+        if self._cards is not None:
+            self._cards.prune(self.nodes)
 
     def _refresh_strategies(self) -> None:
         """Per-receiver summary builds, fanned out to every connection.
@@ -392,10 +570,19 @@ class ColumnarOverlaySimulator(OverlaySimulator):
                 # still stops recomputing identical comparisons.
                 super()._reconfigure()
             else:
+                # The kernel replays exactly UtilityRewiring.rewire over
+                # plain SummaryScheme usefulness; a policy or scheme
+                # subclass may decide differently, so it keeps rewire()
+                # and reads the vectorised values through the memo.
+                kernel = (
+                    type(self.rewiring) is UtilityRewiring
+                    and type(rewiring_scheme) is SummaryScheme
+                )
                 self._reconfigure_vectorized(
                     rewiring_scheme,
                     memos[(rewiring_scheme.kind, rewiring_scheme.params)],
                     cards,
+                    kernel,
                 )
         finally:
             # Working sets change as soon as ticks resume; the memo
@@ -408,16 +595,19 @@ class ColumnarOverlaySimulator(OverlaySimulator):
         scheme: SummaryScheme,
         memo: Dict[Tuple[str, str], float],
         cards: _MinwiseCardMatrix,
+        kernel: bool,
     ) -> None:
-        """The reference epoch loop with vectorised usefulness prefill.
+        """The reference epoch loop over vectorised usefulness.
 
         Control flow, RNG draws (budget sampling), control-byte
         accounting, and rewiring order replicate
-        :meth:`OverlaySimulator._reconfigure` exactly; the only
-        addition is one matrix comparison per receiver feeding the
-        scheme memo before the policy decides.
+        :meth:`OverlaySimulator._reconfigure` exactly.  Each receiver's
+        utilities come from :class:`_EpochScores`; with ``kernel`` they
+        go straight into :meth:`UtilityRewiring.decide`, and the memo
+        holds only the chosen additions (for the admission check inside
+        ``connect()``).  Without it they prefill the memo that the
+        policy's own ``rewire()`` reads back.
         """
-        np = cards.np
         self.reconfig_epochs += 1
         all_nodes = list(self.nodes.values())
         budget = self.reconfig_budget
@@ -425,88 +615,58 @@ class ColumnarOverlaySimulator(OverlaySimulator):
         eligible = [
             n for n in all_nodes if not n.is_source and len(n.working_set) > 0
         ]
-        ids = [n.node_id for n in eligible]
-        index = {nid: i for i, nid in enumerate(ids)}
-        matrix = np.stack([cards.row_of(n) for n in eligible]) if eligible else None
+        rows = None
+        if eligible:
+            slots = [cards.slot_of(n) for n in eligible]  # may grow the matrix
+            rows = cards.matrix[slots]
+        self._prune_receiver_caches()
+        receivers = [n for n in all_nodes if not (n.is_source or n.is_complete)]
+        scores = _EpochScores(cards.np, all_nodes, eligible, rows, receivers, full_scan)
         # Card wire sizes cannot change mid-epoch (no deliveries run
         # between rewiring passes), so the per-candidate accounting
         # loop collapses to precomputed sums — the eligibility guard
         # (non-source, non-empty) is exactly membership in `wire`.
         wire = {n.node_id: scheme.card_wire_bytes(n) for n in eligible}
         wire_total = sum(wire.values())
-        for receiver in all_nodes:
-            if receiver.is_source or receiver.is_complete:
-                continue
+        for receiver in receivers:
+            rid = receiver.node_id
             current = [
-                self.nodes[s]
-                for s in self.topology.senders_of(receiver.node_id)
-                if s in self.nodes
+                self.nodes[s] for s in self.topology.senders_of(rid) if s in self.nodes
             ]
             candidates = all_nodes
             if full_scan:
-                self.control_bytes += wire_total - wire.get(receiver.node_id, 0)
+                self.control_bytes += wire_total - wire.get(rid, 0)
             else:
                 candidates = self.rng.sample(all_nodes, budget)
-                rid = receiver.node_id
                 self.control_bytes += sum(
-                    wire.get(c.node_id, 0)
-                    for c in candidates
-                    if c.node_id != rid
+                    wire.get(c.node_id, 0) for c in candidates if c.node_id != rid
                 )
-            if matrix is not None:
-                self._prefill_usefulness(
-                    receiver, current, candidates, full_scan,
-                    matrix, ids, index, memo, cards,
+            utilities, sender_utilities, blocked = scores.score(
+                receiver, current, candidates
+            )
+            if kernel:
+                utilities[blocked] = -math.inf
+                drop, picks, values = self.rewiring.decide(
+                    utilities,
+                    sender_utilities,
+                    receiver.max_connections - len(current),
                 )
-            drops, adds = self.rewiring.rewire(receiver, current, candidates)
+                drops = [] if drop is None else [current[drop]]
+                adds = [candidates[i] for i in picks]
+                for a, v in zip(adds, values):
+                    memo[(rid, a.node_id)] = v
+            else:
+                for c, v in zip(candidates, utilities.tolist()):
+                    if v > -math.inf:
+                        memo[(rid, c.node_id)] = v
+                for s, v in zip(current, sender_utilities):
+                    memo[(rid, s.node_id)] = v
+                drops, adds = self.rewiring.rewire(receiver, current, candidates)
             for d in drops:
-                self.disconnect(d.node_id, receiver.node_id)
+                self.disconnect(d.node_id, rid)
             for a in adds:
-                if self.connect(a.node_id, receiver.node_id):
+                if self.connect(a.node_id, rid):
                     self.reconfigurations += 1
-
-    def _prefill_usefulness(
-        self,
-        receiver: OverlayNode,
-        current: List[OverlayNode],
-        candidates: List[OverlayNode],
-        full_scan: bool,
-        matrix,
-        ids: List[str],
-        index: Dict[str, int],
-        memo: Dict[Tuple[str, str], float],
-        cards: _MinwiseCardMatrix,
-    ) -> None:
-        np = cards.np
-        row = cards.row_of(receiver)
-        entries = int(row.shape[0])
-        rid = receiver.node_id
-        if full_scan:
-            targets = ids
-            matches = ((row != -1) & (matrix == row)).sum(axis=1)
-        else:
-            wanted = []
-            for c in candidates:
-                i = index.get(c.node_id)
-                if i is not None:
-                    wanted.append(i)
-            for c in current:
-                i = index.get(c.node_id)
-                if i is not None:
-                    wanted.append(i)
-            if not wanted:
-                return
-            sub = matrix[np.asarray(wanted, dtype=np.int64)]
-            matches = ((row != -1) & (sub == row)).sum(axis=1)
-            targets = [ids[i] for i in wanted]
-        for nid, m in zip(targets, matches.tolist()):
-            if nid == rid:
-                continue
-            key = (rid, nid)
-            if key not in memo:
-                # Exactly usefulness(): 1 - matching-positions fraction,
-                # in Python float arithmetic.
-                memo[key] = 1.0 - int(m) / entries
 
 
 __all__ = ["ColumnarOverlaySimulator"]

@@ -18,6 +18,7 @@ and publishes bit-identical minima, so seeded legacy runs replay
 exactly — ``tests/sim/test_parity.py`` pins it.
 """
 
+import math
 import random
 from typing import Any, Dict, List, Mapping, Optional, Protocol, Tuple, Union
 
@@ -284,6 +285,57 @@ class UtilityRewiring:
         if utility(best) > utility(worst) + self.hysteresis:
             return [worst], [best]
         return [], []
+
+    def decide(
+        self,
+        utilities,
+        sender_utilities: List[float],
+        free_slots: int,
+    ) -> Tuple[Optional[int], List[int], List[float]]:
+        """:meth:`rewire`'s decision over precomputed utilities.
+
+        Batched engines call this instead of :meth:`rewire` when they
+        can produce every utility at once.  ``utilities`` is a float64
+        numpy vector over the candidate list, with ``-inf`` wherever
+        :meth:`rewire` would not consider the candidate (the receiver
+        itself, a current sender, an empty non-source); the call
+        overwrites it.
+        ``sender_utilities`` holds each current sender's usefulness as a
+        Python float and ``free_slots`` is ``max_connections`` minus the
+        current sender count.
+
+        Returns ``(drop, adds, add_utilities)``: the index of the sender
+        to drop (or None), the candidate indices to add in :meth:`rewire`'s
+        order, and their utilities.  Ties resolve exactly as in
+        :meth:`rewire`: repeated first-wins argmax reproduces the stable
+        descending ``sorted`` (keeping only utilities > 0), and the swap
+        takes the first-wins ``max`` candidate and ``min`` sender, with
+        the hysteresis compare done in Python floats.
+        """
+        if len(utilities) == 0:
+            return None, [], []
+        best = int(utilities.argmax())
+        top = float(utilities[best])
+        if top == -math.inf:
+            return None, [], []  # no usable candidate
+        if free_slots > 0:
+            adds: List[int] = []
+            values: List[float] = []
+            while top > 0.0:
+                adds.append(best)
+                values.append(top)
+                if len(adds) == free_slots:
+                    break
+                utilities[best] = -math.inf
+                best = int(utilities.argmax())
+                top = float(utilities[best])
+            return None, adds, values
+        if not sender_utilities:
+            return None, [], []
+        worst = min(range(len(sender_utilities)), key=sender_utilities.__getitem__)
+        if top > sender_utilities[worst] + self.hysteresis:
+            return worst, [best], [top]
+        return None, [], []
 
 
 class RandomRewiring:
