@@ -47,8 +47,17 @@ class RecodedPeeler:
 
     @property
     def known_ids(self) -> Set[int]:
-        """Ids of encoded symbols now in the receiver's possession."""
+        """Ids of encoded symbols now in the receiver's possession.
+
+        An O(n) snapshot copy: keep it out of per-packet loops and use
+        :attr:`known_count` for the size.
+        """
         return set(self._known)
+
+    @property
+    def known_count(self) -> int:
+        """Number of encoded symbols held, in O(1)."""
+        return len(self._known)
 
     @property
     def pending_count(self) -> int:

@@ -43,10 +43,12 @@ class SimReceiver:
     @property
     def known_count(self) -> int:
         """Distinct encoded symbols currently held."""
-        return len(self._peeler.known_ids)
+        return self._peeler.known_count
 
     @property
     def known_ids(self):
+        """Snapshot copy of the held ids: O(n), so not for per-packet
+        loops (:attr:`known_count` and :attr:`is_complete` are O(1))."""
         return self._peeler.known_ids
 
     @property

@@ -139,7 +139,7 @@ class BloomFilter:
         The numpy path probes every ``(key, hash)`` index against the
         unpacked bit array in one pass; without numpy it degrades to
         the scalar probe.  Shares :func:`~repro.hashing.batch.
-        bloom_index_rows` with :meth:`bulk_update`, so query and
+        bloom_index_matrix` with :meth:`bulk_update`, so query and
         insertion can never disagree on probe positions.
         """
         from repro.hashing.batch import _numpy, bloom_index_matrix
@@ -153,10 +153,44 @@ class BloomFilter:
         )
         if rows is None:
             return [key in self for key in key_list]
+        return [bool(v) for v in self._members(rows, np)]
+
+    def key_hashes(self, keys: Iterable[int]):
+        """Pre-hashed keys for :meth:`count_members`, or None.
+
+        The seed-only half of the probe computation
+        (:func:`~repro.hashing.batch.bloom_key_hashes`): valid for any
+        filter with this filter's ``seed``, whatever its ``m`` and
+        ``k``.  None means the keys must be probed one by one.
+        """
+        from repro.hashing.batch import bloom_key_hashes
+
+        return bloom_key_hashes(self._hashes, keys)
+
+    def count_members(self, key_hashes) -> Optional[int]:
+        """How many pre-hashed keys test positive, or None off the numpy path.
+
+        ``key_hashes`` comes from :meth:`key_hashes` on a filter with
+        the same seed.  Reduces them to this filter's probe indices and
+        gathers from the unpacked bits in one pass; the count equals
+        ``sum(key in self for key in keys)``.
+        """
+        from repro.hashing.batch import _numpy, bloom_probe_indices
+
+        np = _numpy()
+        if np is None or key_hashes is None:
+            return None
+        rows = bloom_probe_indices(key_hashes, self.m, self.k)
+        if rows is None:
+            return None
+        return int(np.count_nonzero(self._members(rows, np)))
+
+    def _members(self, rows, np):
+        """Per-row membership of an ``(n, k)`` probe-index matrix."""
         bits = np.unpackbits(
             np.frombuffer(bytes(self._bits), dtype=np.uint8), bitorder="little"
         )
-        return [bool(v) for v in bits[rows.astype(np.int64)].all(axis=1)]
+        return bits[rows.astype(np.int64)].all(axis=1)
 
     def missing_from(self, candidates: Iterable[int]) -> Iterator[int]:
         """Yield candidate keys that are definitely *not* in the summarised set.

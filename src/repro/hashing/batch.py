@@ -186,14 +186,20 @@ def permutation_minima_fold(
     ]
 
 
-def bloom_index_matrix(hashes, keys: Sequence[int]):
-    """``(n, k)`` uint64 probe-index matrix, or None off the numpy path.
+#: Exclusive bound on ``m * (k + 1)`` for the uint64 probe arithmetic.
+_PROBE_LIMIT = 1 << 63
 
-    The array-native core of :func:`bloom_index_rows`: row ``i`` holds
-    ``hashes.indices(keys[i])`` exactly.  Returns None when numpy is
-    unavailable, the key list is empty, a key exceeds 64 bits, or the
-    ``(k+1)*m`` intermediate would overflow uint64 — callers then take
-    the scalar loop.
+
+def bloom_key_hashes(hashes, keys: Sequence[int]):
+    """``(h1, h2 | 1)`` uint64 key-hash vectors, or None off the numpy path.
+
+    The first half of :func:`bloom_index_matrix`: the two 64-bit
+    splitmix64 hashes behind ``hashes.indices``, before any reduction
+    modulo ``m``.  They depend only on the hash seed, so a caller that
+    probes one key set against many filters of that seed hashes it once
+    and reduces per filter with :func:`bloom_probe_indices`.  Returns
+    None when numpy is unavailable, the key list is empty, or a key
+    falls outside ``[0, 2^64)`` — callers then take the scalar loop.
     """
     key_list = list(keys)
     np = _numpy()
@@ -201,18 +207,45 @@ def bloom_index_matrix(hashes, keys: Sequence[int]):
         return None
     if any(x < 0 or x > _MASK64 for x in key_list):
         return None
-    m, k = hashes.m, hashes.k
-    if m * (k + 1) >= 1 << 63:
+    keys64 = np.asarray(key_list, dtype=np.uint64)
+    h1 = _mix64_np(keys64, hashes._seed1, np)
+    h2 = _mix64_np(keys64, hashes._seed2, np) | np.uint64(1)
+    return h1, h2
+
+
+def bloom_probe_indices(key_hashes, m: int, k: int):
+    """``(n, k)`` uint64 probe indices of hashed keys, or None.
+
+    The second half of :func:`bloom_index_matrix`: row ``i`` holds
+    ``[(h1 + j*h2) % m for j in range(k)]`` for the ``i``-th pair of
+    :func:`bloom_key_hashes`.  Returns None when numpy is unavailable
+    or the ``(k+1)*m`` intermediate would overflow uint64.
+    """
+    np = _numpy()
+    if np is None or m * (k + 1) >= _PROBE_LIMIT:
         return None
     # The scalar loop computes (h1 + i*h2) % m in unbounded Python ints;
     # reducing h1 and h2 mod m first keeps every intermediate below
     # (k+1)*m — uint64-safe — while yielding the identical residues.
-    keys64 = np.asarray(key_list, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        h1 = _mix64_np(keys64, hashes._seed1, np) % np.uint64(m)
-        h2 = (_mix64_np(keys64, hashes._seed2, np) | np.uint64(1)) % np.uint64(m)
-        steps = np.arange(k, dtype=np.uint64)
-        return (h1[:, None] + steps[None, :] * h2[:, None]) % np.uint64(m)
+    h1, h2 = key_hashes
+    modulus = np.uint64(m)
+    steps = np.arange(k, dtype=np.uint64)
+    return ((h1 % modulus)[:, None] + steps[None, :] * (h2 % modulus)[:, None]) % modulus
+
+
+def bloom_index_matrix(hashes, keys: Sequence[int]):
+    """``(n, k)`` uint64 probe-index matrix, or None off the numpy path.
+
+    The array-native core of :func:`bloom_index_rows`: row ``i`` holds
+    ``hashes.indices(keys[i])`` exactly.  It is
+    :func:`bloom_key_hashes` followed by :func:`bloom_probe_indices`, so
+    filter insertion and every batched query share one probe formula;
+    None from either step means the caller takes the scalar loop.
+    """
+    key_hashes = bloom_key_hashes(hashes, keys)
+    if key_hashes is None:
+        return None
+    return bloom_probe_indices(key_hashes, hashes.m, hashes.k)
 
 
 def bloom_index_rows(hashes, keys: Sequence[int]) -> List[List[int]]:
@@ -232,6 +265,8 @@ __all__ = [
     "mix64_batch",
     "permutation_minima",
     "permutation_minima_fold",
+    "bloom_key_hashes",
+    "bloom_probe_indices",
     "bloom_index_matrix",
     "bloom_index_rows",
 ]

@@ -404,6 +404,11 @@ class BloomSummary(Summary):
     #: wire reconstruction (absorb then refuses via ``_require_local``).
     _build_params: Optional[Dict[str, Any]] = None
 
+    #: Seed -> :meth:`BloomFilter.key_hashes` of the local ids, filled
+    #: lazily by difference estimates.  Cards never change their ids
+    #: (:meth:`absorb` returns a new card), so entries never go stale.
+    _key_hashes: Optional[Dict[int, Any]] = None
+
     def __init__(
         self,
         bloom: BloomFilter,
@@ -527,9 +532,29 @@ class BloomSummary(Summary):
             raise SummaryError(
                 f"cannot estimate against a {getattr(other, 'kind', '?')} summary"
             )
-        ours_missing = sum(1 for key in local if not other.may_contain(key))
-        i = len(local) - ours_missing
+        i = self._count_members_in(local, other)
         return clamped_symmetric_difference(i, self.set_size, other.set_size)
+
+    def _count_members_in(self, local: frozenset, other: "Summary") -> int:
+        """``sum(other.may_contain(key) for key in local)``.
+
+        Against a plain Bloom card (whose membership is its
+        :class:`BloomFilter`) the local ids are hashed once per seed,
+        cached on this immutable card, and probed in one gather; every
+        other membership summary, and any case the kernel declines,
+        takes the scalar loop.
+        """
+        if type(other).may_contain is BloomSummary.may_contain:
+            bloom = other.bloom
+            cache = self._key_hashes
+            if cache is None:
+                cache = self._key_hashes = {}
+            if bloom.seed not in cache:
+                cache[bloom.seed] = bloom.key_hashes(local)
+            present = bloom.count_members(cache[bloom.seed])
+            if present is not None:
+                return present
+        return sum(1 for key in local if other.may_contain(key))
 
 
 @register_summary

@@ -58,6 +58,27 @@ class TestSimReceiver:
         with pytest.raises(ValueError):
             SimReceiver([], target=0)
 
+    def test_transfer_loops_never_copy_the_working_set(self, monkeypatch):
+        """Completion checks run once per packet; copying the held ids
+        there makes a transfer quadratic in the target."""
+        from repro.coding.peeler import RecodedPeeler
+
+        def no_snapshots(self):
+            raise AssertionError("known_ids copied inside a transfer loop")
+
+        monkeypatch.setattr(RecodedPeeler, "known_ids", property(no_snapshots))
+        rng = random.Random(12)
+        sc = make_pair_scenario(300, 1.1, 0.2, rng)
+        recv = SimReceiver(sc.receiver.ids, sc.target)
+        strat = make_strategy("Recode/BF", sc.sender, sc.receiver, rng,
+                              symbols_desired=sc.target - len(sc.receiver))
+        assert simulate_p2p_transfer(recv, strat).completed
+        recv = SimReceiver(sc.receiver.ids, sc.target)
+        strat = make_strategy("Random", sc.sender, sc.receiver, rng)
+        res = simulate_multi_sender_transfer(recv, [strat], full_senders=1)
+        assert res.completed
+        assert res.receiver_final_count == recv.known_count >= sc.target
+
 
 class TestFullSender:
     def test_always_fresh(self):
