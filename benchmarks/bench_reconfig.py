@@ -24,7 +24,6 @@ from repro.overlay.reconfiguration import (
     SummaryScheme,
     UtilityRewiring,
 )
-from repro.overlay.scenarios import default_family
 from repro.overlay.simulator import OverlaySimulator
 from repro.overlay.topology import VirtualTopology
 from repro.seeding import derive_rng
@@ -46,7 +45,6 @@ def _build_swarm(kind, params, scan_budget=0):
     scheme = SummaryScheme(kind, params)
     sim = OverlaySimulator(
         VirtualTopology(),
-        default_family(),
         admission=SketchAdmission(scheme),
         rewiring=UtilityRewiring(scheme, rng=rng),
         reconfigure_every=10,

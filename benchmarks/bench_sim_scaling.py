@@ -42,20 +42,21 @@ import repro.hashing.batch as batch
 from repro.api import build, specs
 from repro.overlay.node import OverlayNode
 from repro.overlay.simulator import OverlaySimulator
-from repro.sim.scenarios import flash_crowd
 
 
 def run_flash_crowd(num_peers, target=100, waves=None, wave_interval=15):
     if waves is None:
         waves = max(2, num_peers // 32)
     seeded = max(4, num_peers // 32)
-    scenario = flash_crowd(
-        num_peers=num_peers,
-        target=target,
-        waves=waves,
-        wave_interval=wave_interval,
-        initial_seeded=seeded,
-    )
+    scenario = build(
+        specs.flash_crowd(
+            num_peers=num_peers,
+            target=target,
+            waves=waves,
+            wave_interval=wave_interval,
+            initial_seeded=seeded,
+        )
+    ).scenario
     t0 = time.perf_counter()
     report = scenario.run(max_ticks=20_000)
     wall = time.perf_counter() - t0
@@ -108,14 +109,18 @@ def test_flash_crowd_256_nodes_end_to_end(benchmark):
 
 def test_scenario_catalog_under_event_clock(benchmark):
     """All four catalog scenarios complete on the shared event clock."""
-    from repro.sim.scenarios import SCENARIOS
+    names = (
+        "flash_crowd",
+        "source_departure",
+        "asymmetric_bandwidth",
+        "correlated_regional_loss",
+    )
 
     def catalog():
-        results = {}
-        for name, factory in SCENARIOS.items():
-            report = factory().run(max_ticks=10_000)
-            results[name] = report
-        return results
+        return {
+            name: build(getattr(specs, name)()).scenario.run(max_ticks=10_000)
+            for name in names
+        }
 
     results = benchmark.pedantic(catalog, rounds=1, iterations=1)
     rows = [

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Adaptive swarm under churn, with sketch-orchestrated sender selection.
+"""Adaptive swarm under churn, with card-orchestrated sender selection.
 
 Demonstrates the two extension layers built on the paper's machinery:
 
@@ -30,45 +30,40 @@ from repro.overlay import (
     SketchAdmission,
     UtilityRewiring,
     VirtualTopology,
+    default_scheme,
     run_with_churn,
 )
-from repro.overlay.scenarios import default_family
+from repro.reconcile import build_summary
 
 TARGET = 250
 NUM_PEERS = 10
 
 
-def demo_orchestration(rng, family):
+def calling_card(ids):
+    """The min-wise card every overlay node publishes (the default scheme)."""
+    return build_summary("minwise", ids, **default_scheme().params_dict())
+
+
+def demo_orchestration(rng):
     print("=" * 64)
     print("1. Sender selection from calling cards alone")
     print("=" * 64)
     receiver_ids = set(rng.sample(range(1 << 20), 400))
-    from repro.sketches import MinwiseSketch
-
-    receiver_sketch = MinwiseSketch.build_vectorized(receiver_ids, family)
+    receiver_card = calling_card(receiver_ids)
 
     mirror_ids = rng.sample(range(1 << 21, 1 << 22), 500)
     candidates = [
         # Two mirrors with identical content (a replica group),
-        CandidateSender("mirror-1",
-                        MinwiseSketch.build_vectorized(mirror_ids, family), 500),
-        CandidateSender("mirror-2",
-                        MinwiseSketch.build_vectorized(mirror_ids, family), 500),
+        CandidateSender("mirror-1", calling_card(mirror_ids), 500),
+        CandidateSender("mirror-2", calling_card(mirror_ids), 500),
         # one peer that mostly duplicates the receiver,
-        CandidateSender(
-            "stale-cache",
-            MinwiseSketch.build_vectorized(list(receiver_ids)[:390], family), 390,
-        ),
+        CandidateSender("stale-cache", calling_card(list(receiver_ids)[:390]), 390),
         # and one genuinely complementary peer.
         CandidateSender(
-            "fresh-peer",
-            MinwiseSketch.build_vectorized(
-                rng.sample(range(1 << 23, 1 << 24), 450), family
-            ),
-            450,
+            "fresh-peer", calling_card(rng.sample(range(1 << 23, 1 << 24), 450)), 450
         ),
     ]
-    selection = select_senders(receiver_sketch, len(receiver_ids),
+    selection = select_senders(receiver_card, len(receiver_ids),
                                candidates, max_senders=2)
     print(f"chosen senders:       {selection.chosen}")
     print(f"rejected (identical): {selection.rejected_identical}")
@@ -84,12 +79,10 @@ def demo_churn(rng):
     print("=" * 64)
     print("2. Swarm survives churn")
     print("=" * 64)
-    family = default_family()
     sim = OverlaySimulator(
         VirtualTopology(),
-        family,
-        admission=SketchAdmission(family),
-        rewiring=UtilityRewiring(family, rng=rng),
+        admission=SketchAdmission(default_scheme()),
+        rewiring=UtilityRewiring(default_scheme(), rng=rng),
         strategy_name="Recode/BF",
         rng=rng,
     )
@@ -117,8 +110,7 @@ def demo_churn(rng):
 
 def main():
     rng = random.Random(42)
-    family = default_family()
-    demo_orchestration(rng, family)
+    demo_orchestration(rng)
     ok = demo_churn(rng)
     if not ok:
         print("swarm failed to complete")

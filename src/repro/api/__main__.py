@@ -40,19 +40,18 @@ from typing import Any, Callable, List, Optional
 from repro.api import registry, run
 from repro.api.output import prepare_out_file
 from repro.api.spec import (
-    CatalogSpec,
+    COMPONENTS,
     ExperimentSpec,
-    ReconfigSpec,
     SpecError,
     SummarySpec,
-    TopologySpec,
-    TransportSpec,
+    _construct,
+    component_def,
 )
 from repro.reconcile import SummaryError
 
 
 def _parse_kv_params(tail: str, flag: str) -> dict:
-    """``param=val,...`` -> dict, shared by ``--summary``/``--reconfig``.
+    """``param=val,...`` -> dict.
 
     Values parse as JSON scalars where possible (``8`` -> int,
     ``0.5`` -> float, ``true`` -> bool) and stay strings otherwise.
@@ -76,131 +75,64 @@ def _parse_kv_params(tail: str, flag: str) -> dict:
     return params
 
 
-def parse_summary_arg(text: str) -> SummarySpec:
-    """Parse ``kind[:param=val,...]`` into a :class:`SummarySpec`."""
-    kind, _, tail = text.partition(":")
-    kind = kind.strip()
-    if not kind:
-        raise SpecError("--summary needs a summary kind before ':'")
-    return SummarySpec(kind=kind, params=_parse_kv_params(tail, "--summary"))
+def parse_component_arg(name: str, text: str) -> Any:
+    """Parse a ``--<name>`` string into the registered component's spec.
 
+    ``kind[:key=val,...]`` for a component with a selector (the summary
+    ``kind``, the reconfig and transport ``policy``, the topology
+    ``kind``); plain ``key=val,...`` for ``catalog``, which has none.
+    Each key resolves against the component's spec class
+    (:data:`~repro.api.spec.COMPONENTS`):
 
-def parse_reconfig_arg(text: str) -> ReconfigSpec:
-    """Parse ``policy[:param=val,...]`` into a :class:`ReconfigSpec`.
+    * a dataclass field name sets that field (``interval``,
+      ``bottleneck_rate``, ``objects``, ...);
+    * ``summary=<kind>`` and ``summary.<param>=<val>`` build the nested
+      :class:`SummarySpec` of a class with a ``summary`` field;
+    * any other key is a ``params`` entry when the class has a
+      ``params`` field, and a :class:`SpecError` otherwise.
 
-    ``summary=<kind>`` selects the informed arm's summary kind and
-    ``summary.<param>=<val>`` its build parameters; every other key maps
-    to a :class:`ReconfigSpec` field (``interval``, ``jitter``,
-    ``scan_budget``, ``min_usefulness``, ``hysteresis``).  Examples::
+    Examples::
 
-        --reconfig informed
-        --reconfig informed:summary=bloom,summary.bits_per_element=8
-        --reconfig random:interval=10
-        --reconfig static
-
-    Malformed input raises :class:`SpecError` (CLI exit status 2).
-    """
-    policy, _, tail = text.partition(":")
-    policy = policy.strip()
-    if not policy:
-        raise SpecError("--reconfig needs a policy kind before ':'")
-    fields = {}
-    summary_kind = None
-    summary_params = {}
-    for key, parsed in _parse_kv_params(tail, "--reconfig").items():
-        if key == "summary":
-            summary_kind = str(parsed)
-        elif key.startswith("summary."):
-            summary_params[key[len("summary."):]] = parsed
-        else:
-            fields[key] = parsed
-    if summary_params and summary_kind is None:
-        raise SpecError("--reconfig summary.* parameters need summary=<kind>")
-    summary = (
-        SummarySpec(kind=summary_kind, params=summary_params)
-        if summary_kind is not None
-        else None
-    )
-    try:
-        return ReconfigSpec(policy=policy, summary=summary, **fields)
-    except TypeError as exc:
-        raise SpecError(f"--reconfig: {exc}") from exc
-
-
-#: ``--transport`` keys that are TransportSpec fields; every other key
-#: becomes a policy parameter (e.g. ``beta`` for aimd).
-_TRANSPORT_FIELDS = frozenset(
-    {"bottleneck_rate", "bottleneck_buffer", "rto_min", "rto_max"}
-)
-
-
-def parse_transport_arg(text: str) -> TransportSpec:
-    """Parse ``policy[:param=val,...]`` into a :class:`TransportSpec`.
-
-    ``bottleneck_rate``/``bottleneck_buffer``/``rto_min``/``rto_max``
-    map to :class:`TransportSpec` fields; every other key is a policy
-    parameter.  Examples::
-
-        --transport open_loop
+        --summary art:bits_per_element=16,correction=2
+        --reconfig informed:summary=bloom,summary.bits_per_element=8,scan_budget=16
         --transport aimd:beta=0.7,bottleneck_rate=12,bottleneck_buffer=32
-        --transport bbr_lite:probe_gain=1.5
-
-    Malformed input raises :class:`SpecError` (CLI exit status 2).
-    """
-    policy, _, tail = text.partition(":")
-    policy = policy.strip()
-    if not policy:
-        raise SpecError("--transport needs a policy kind before ':'")
-    fields = {}
-    params = {}
-    for key, parsed in _parse_kv_params(tail, "--transport").items():
-        if key in _TRANSPORT_FIELDS:
-            fields[key] = parsed
-        else:
-            params[key] = parsed
-    try:
-        return TransportSpec(policy=policy, params=params, **fields)
-    except TypeError as exc:
-        raise SpecError(f"--transport: {exc}") from exc
-
-
-def parse_topology_arg(text: str) -> TopologySpec:
-    """Parse ``kind[:param=val,...]`` into a :class:`TopologySpec`.
-
-    Every key after the kind is a generator parameter.  Examples::
-
-        --topology scale_free:attach=2
         --topology cdn_tiers:tiers=3,fanout=4
-        --topology ring
-
-    Unknown kinds and parameters raise :class:`SpecError` (CLI exit
-    status 2), as does passing a topology to a scenario that wires its
-    own fixed overlay.
-    """
-    kind, _, tail = text.partition(":")
-    kind = kind.strip()
-    if not kind:
-        raise SpecError("--topology needs a generator kind before ':'")
-    return TopologySpec(kind=kind, params=_parse_kv_params(tail, "--topology"))
-
-
-def parse_catalog_arg(text: str) -> CatalogSpec:
-    """Parse ``field=val,...`` into a :class:`CatalogSpec`.
-
-    There is no kind selector — every key is a :class:`CatalogSpec`
-    field.  Examples::
-
-        --catalog objects=4
         --catalog objects=6,zipf_skew=1.2,priority_tiers=3
 
-    Malformed input raises :class:`SpecError` (CLI exit status 2), as
-    does passing a catalog to a single-object scenario.
+    Malformed input raises :class:`SpecError` (CLI exit status 2).
     """
-    fields = _parse_kv_params(text, "--catalog")
-    try:
-        return CatalogSpec(**fields)
-    except TypeError as exc:
-        raise SpecError(f"--catalog: {exc}") from exc
+    comp = component_def(name)
+    flag = f"--{name}"
+    fields = {}
+    tail = text
+    if comp.kind_field:
+        kind, _, tail = text.partition(":")
+        if not kind.strip():
+            raise SpecError(f"{flag} needs a {comp.kind_field} before ':'")
+        fields[comp.kind_field] = kind.strip()
+    names = {f.name for f in dataclasses.fields(comp.cls)}
+    settable = names - {comp.kind_field, "params", "summary"}
+    params, summary = {}, {}
+    for key, value in _parse_kv_params(tail, flag).items():
+        if "summary" in names and key.partition(".")[0] == "summary":
+            summary[key] = value
+        elif key in settable:
+            fields[key] = value
+        elif "params" in names:
+            params[key] = value
+        else:
+            raise SpecError(
+                f"{flag}: unknown key {key!r} (accepts: {', '.join(sorted(settable))})"
+            )
+    if summary:
+        if "summary" not in summary:
+            raise SpecError(f"{flag} summary.* parameters need summary=<kind>")
+        kind = str(summary.pop("summary"))
+        sub = {key[len("summary."):]: value for key, value in summary.items()}
+        fields["summary"] = _construct(SummarySpec, {"kind": kind, "params": sub})
+    if params:
+        fields["params"] = params
+    return _construct(comp.cls, fields)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -346,34 +278,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_spec(args: argparse.Namespace) -> ExperimentSpec:
-    if args.spec:
-        try:
-            with open(args.spec, "r", encoding="utf-8") as fh:
-                spec = ExperimentSpec.from_json(fh.read())
-        except OSError as exc:
-            raise SpecError(f"cannot read spec file {args.spec!r}: {exc}") from exc
-    else:
-        spec = registry.small_spec(args.scenario)
+def _with_cli_overrides(
+    spec: ExperimentSpec, args: argparse.Namespace
+) -> ExperimentSpec:
+    """``spec`` with the CLI's seed, component and engine overrides."""
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
-    if args.summary:
-        spec = dataclasses.replace(
-            spec,
-            strategy=dataclasses.replace(
-                spec.strategy, summary=parse_summary_arg(args.summary)
-            ),
-        )
-    if args.reconfig:
-        spec = dataclasses.replace(spec, reconfig=parse_reconfig_arg(args.reconfig))
-    if args.transport:
-        spec = dataclasses.replace(
-            spec, transport=parse_transport_arg(args.transport)
-        )
-    if args.topology:
-        spec = spec.with_component_spec("topology", parse_topology_arg(args.topology))
-    if args.catalog:
-        spec = spec.with_component_spec("catalog", parse_catalog_arg(args.catalog))
+    for name in COMPONENTS:
+        text = getattr(args, name, None)
+        if text:
+            spec = spec.with_component_spec(name, parse_component_arg(name, text))
     # with_override validates the value (unknown engine/fidelity ->
     # SpecError -> exit status 2), unlike a bare dataclasses.replace.
     if args.engine:
@@ -383,8 +297,20 @@ def _load_spec(args: argparse.Namespace) -> ExperimentSpec:
     return spec
 
 
+def _load_spec(args: argparse.Namespace) -> ExperimentSpec:
+    if args.spec:
+        try:
+            with open(args.spec, "r", encoding="utf-8") as fh:
+                spec = ExperimentSpec.from_json(fh.read())
+        except OSError as exc:
+            raise SpecError(f"cannot read spec file {args.spec!r}: {exc}") from exc
+    else:
+        spec = registry.small_spec(args.scenario)
+    return _with_cli_overrides(spec, args)
+
+
 def _load_campaign(args: argparse.Namespace):
-    """Resolve the CLI's campaign source, with seed/summary overrides."""
+    """Resolve the CLI's campaign source, with the base spec's overrides."""
     from repro.campaign import campaign_spec_from_file, small_campaign
 
     if args.campaign:
@@ -393,30 +319,7 @@ def _load_campaign(args: argparse.Namespace):
         # A scenario without a registered miniature grid has no
         # campaign to run — refuse loudly rather than sweep nothing.
         campaign = small_campaign(args.campaign_scenario, require_grid=True)
-    base = campaign.base
-    if args.seed is not None:
-        base = dataclasses.replace(base, seed=args.seed)
-    if args.summary:
-        base = dataclasses.replace(
-            base,
-            strategy=dataclasses.replace(
-                base.strategy, summary=parse_summary_arg(args.summary)
-            ),
-        )
-    if args.reconfig:
-        base = dataclasses.replace(base, reconfig=parse_reconfig_arg(args.reconfig))
-    if args.transport:
-        base = dataclasses.replace(
-            base, transport=parse_transport_arg(args.transport)
-        )
-    if args.topology:
-        base = base.with_component_spec("topology", parse_topology_arg(args.topology))
-    if args.catalog:
-        base = base.with_component_spec("catalog", parse_catalog_arg(args.catalog))
-    if args.engine:
-        base = base.with_override("measurement.engine", args.engine)
-    if args.fidelity:
-        base = base.with_override("measurement.fidelity", args.fidelity)
+    base = _with_cli_overrides(campaign.base, args)
     if base is not campaign.base:
         campaign = dataclasses.replace(campaign, base=base)
     return campaign

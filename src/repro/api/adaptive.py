@@ -67,7 +67,6 @@ from repro.api.spec import (
     SwarmSpec,
 )
 from repro.overlay.node import OverlayNode
-from repro.overlay.scenarios import default_family
 from repro.overlay.simulator import OverlaySimulator, SimulationReport
 from repro.overlay.topology import VirtualTopology
 from repro.seeding import derive_seed
@@ -167,7 +166,6 @@ def _build_arm(spec: ExperimentSpec, arm: str) -> OverlaySimulator:
     admission, rewiring = _reconfig_policies(spec, rng, policy=arm)
     sim = simulator_class(spec)(
         VirtualTopology(),
-        default_family(),
         admission=admission,
         rewiring=rewiring,
         strategy_name=spec.strategy.name,

@@ -13,10 +13,9 @@ Each catalog entry has two halves:
   BuiltExperiment` ready to :meth:`~repro.api.runner.BuiltExperiment.
   run`.
 
-The swarm builders reproduce the legacy :mod:`repro.sim.scenarios`
-constructions *exactly* (same RNG draw order from the same master
-seed), which the parity tests in ``tests/api/test_api_parity.py`` pin;
-the legacy functions are now deprecation shims over this module.
+Every builder draws from one master-seeded RNG in a fixed order, so a
+spec replays bit for bit; ``tests/api/test_api_parity.py`` pins the
+seeded metrics of the default catalog runs.
 """
 
 import math
@@ -25,7 +24,7 @@ from typing import Callable, Dict, List, Optional
 
 from repro.api.registry import scenario
 from repro.api.result import RunResult
-from repro.api.runner import BuiltExperiment
+from repro.api.runner import BuiltExperiment, SimScenario
 from repro.api.spec import (
     ChurnSpec,
     ExperimentSpec,
@@ -37,7 +36,7 @@ from repro.api.spec import (
     StrategySpec,
     SwarmSpec,
 )
-from repro.delivery.orchestrator import CandidateSender, plan_join
+from repro.delivery.orchestrator import CandidateSender, JoinPlan, plan_join
 from repro.delivery.receiver import SimReceiver
 from repro.delivery.scenarios import (
     COMPACT_MULTIPLIER,
@@ -56,8 +55,8 @@ from repro.overlay.reconfiguration import (
     SketchAdmission,
     SummaryScheme,
     UtilityRewiring,
+    default_scheme,
 )
-from repro.overlay.scenarios import default_family
 from repro.overlay.simulator import OverlaySimulator
 from repro.overlay.topology import PathCharacteristics, VirtualTopology
 from repro.protocol.peer import CodeParameters, ProtocolPeer
@@ -71,7 +70,6 @@ from repro.sim.links import (
     LatencyJitterLink,
     LinkModel,
 )
-from repro.sim.scenarios import SimScenario
 from repro.sim.sessions import (
     DEFAULT_PACKET_BUDGET_FACTOR,
     ScheduledSession,
@@ -159,14 +157,14 @@ def reconfig_scheme(spec: ExperimentSpec) -> SummaryScheme:
     """The :class:`SummaryScheme` a spec's reconfig selection names.
 
     ``reconfig.summary`` unset resolves to the historical min-wise
-    calling card — the same permutation family every overlay node
-    publishes (:func:`~repro.overlay.scenarios.default_family`), so an
+    calling card every overlay node publishes
+    (:func:`~repro.overlay.reconfiguration.default_scheme`), so an
     informed run under the default scheme replays the pre-spec
     behaviour bit for bit.
     """
     rc = spec.reconfig
     if rc is None or rc.summary is None:
-        return SummaryScheme.from_family(default_family())
+        return default_scheme()
     return SummaryScheme(rc.summary.kind, rc.summary.params_dict())
 
 
@@ -184,10 +182,7 @@ def _reconfig_policies(
     """
     rc = spec.reconfig
     if policy is None:
-        if rc is None:
-            family = default_family()
-            return SketchAdmission(family), UtilityRewiring(family, rng=rng)
-        policy = rc.policy
+        policy = rc.policy if rc is not None else "informed"
     if policy == "informed":
         if rc is None:
             from repro.api.spec import ReconfigSpec
@@ -294,20 +289,23 @@ def _base_simulator(
     spec: ExperimentSpec,
     rng: random.Random,
     link_factory: Optional[Callable[..., LinkModel]] = None,
+    topology: Optional[VirtualTopology] = None,
+    policies=None,
 ):
-    """The shared simulator assembly every swarm builder starts from."""
+    """The shared simulator assembly every swarm builder starts from.
+
+    ``policies`` overrides the spec's ``(admission, rewiring)`` pair.
+    """
     swarm = _require_swarm(spec)
-    family = default_family()
     stats = (
         StatsRecorder(resolution=spec.measurement.resolution)
         if spec.measurement.record_series
         else None
     )
-    admission, rewiring = _reconfig_policies(spec, rng)
+    admission, rewiring = policies or _reconfig_policies(spec, rng)
     transport_kwargs, link_factory = _transport_setup(spec, stats, link_factory)
     sim = simulator_class(spec)(
-        VirtualTopology(),
-        family,
+        topology if topology is not None else VirtualTopology(),
         admission=admission,
         rewiring=rewiring,
         strategy_name=spec.strategy.name,
@@ -318,7 +316,7 @@ def _base_simulator(
         **transport_kwargs,
         **_reconfig_sim_kwargs(spec, swarm),
     )
-    return sim, family, stats
+    return sim, stats
 
 
 def _seeded_count(rule: NodeSpec, target: int, distinct: int) -> int:
@@ -576,6 +574,53 @@ def flash_crowd(
 )
 def build_flash_crowd(spec: ExperimentSpec) -> BuiltExperiment:
     """Joiners run the Section 4 join decision at their scheduled time."""
+    return _build_join_swarm(spec, _run_swarm)
+
+
+def _join(
+    sim: OverlaySimulator,
+    scheme: SummaryScheme,
+    node: OverlayNode,
+    src_name: str,
+    rng: random.Random,
+) -> JoinPlan:
+    """Add a joiner and connect it the way its min-wise cards plan.
+
+    Every non-source peer holding symbols is a candidate; the plan's
+    senders are connected in order and, when none accepts, the joiner
+    falls back to the source.
+    """
+    sim.add_node(node)
+    pid = node.node_id
+    candidates = [
+        CandidateSender(n.node_id, scheme.card_of(n), len(n.working_set))
+        for n in sim.nodes.values()
+        if not n.is_source and n.node_id != pid and len(n.working_set) > 0
+    ]
+    plan = plan_join(
+        scheme.card_of(node),
+        len(node.working_set),
+        candidates,
+        max_senders=node.max_connections,
+        symbols_desired=node.target,
+        rng=rng,
+        now=sim.scheduler.now,
+    )
+    connected = [s for s in plan.selection.chosen if sim.connect(s, pid)]
+    if not connected:
+        sim.connect(src_name, pid)
+    return plan
+
+
+def _build_join_swarm(
+    spec: ExperimentSpec, runner: Callable[[BuiltExperiment], RunResult]
+) -> BuiltExperiment:
+    """A source plus seeded peers, then waves of joiners (groups ``seed``/``p``).
+
+    The flash_crowd construction, shared by congested_swarm.  Joiners
+    draw their group's seeding rule (none for an ``empty`` group) and
+    plan their senders from min-wise calling cards as they arrive.
+    """
     swarm = _require_swarm(spec)
     _expect_groups(swarm, "seed", "p")
     src_name = _source_group(swarm).member_ids()[0]
@@ -583,15 +628,18 @@ def build_flash_crowd(spec: ExperimentSpec) -> BuiltExperiment:
     joiners = swarm.group("p")
     churn = spec.churn
     if churn is None or churn.join_waves < 1:
-        raise SpecError("flash_crowd requires a churn spec with join_waves >= 1")
+        raise SpecError(
+            f"{spec.scenario} requires a churn spec with join_waves >= 1"
+        )
     target, distinct = swarm.target, swarm.distinct_symbols
 
     rng = random.Random(spec.seed)
     shared = _shared_processes(swarm)
-    sim, family, stats = _base_simulator(
+    sim, stats = _base_simulator(
         spec, rng, link_factory=_link_factory_from_rules(swarm, shared)
     )
-    scenario_obj = SimScenario("flash_crowd", sim, stats, target)
+    scenario_obj = SimScenario(spec.scenario, sim, stats, target)
+    scheme = default_scheme()
 
     sim.add_node(OverlayNode(src_name, target, is_source=True))
     for name in seeds.member_ids():
@@ -605,38 +653,21 @@ def build_flash_crowd(spec: ExperimentSpec) -> BuiltExperiment:
 
     joiner_ids = list(joiners.member_ids())
     per_wave = math.ceil(len(joiner_ids) / churn.join_waves)
-    max_connections = joiners.max_connections
 
     def make_wave(batch: List[str]) -> Callable[[], None]:
         def join_wave() -> None:
-            now = sim.scheduler.now
-            scenario_obj.events.append(f"t={now:g} wave of {len(batch)} joins")
+            scenario_obj.events.append(
+                f"t={sim.scheduler.now:g} wave of {len(batch)} joins"
+            )
+            plans = scenario_obj.extras.setdefault("join_plans", {})
             for pid in batch:
-                node = OverlayNode(pid, target, max_connections=max_connections)
-                sim.add_node(node)
-                candidates = [
-                    CandidateSender(n.node_id, n.sketch(family), len(n.working_set))
-                    for n in sim.nodes.values()
-                    if not n.is_source
-                    and n.node_id != pid
-                    and len(n.working_set) > 0
-                ]
-                plan = plan_join(
-                    node.sketch(family),
-                    len(node.working_set),
-                    candidates,
-                    max_senders=max_connections,
-                    symbols_desired=target,
-                    rng=rng,
-                    now=now,
+                node = OverlayNode(
+                    pid,
+                    target,
+                    initial_ids=_initial_ids(rng, joiners, target, distinct),
+                    max_connections=joiners.max_connections,
                 )
-                scenario_obj.extras.setdefault("join_plans", {})[pid] = plan
-                connected = 0
-                for sender_id in plan.selection.chosen:
-                    if sim.connect(sender_id, pid):
-                        connected += 1
-                if connected == 0:
-                    sim.connect(src_name, pid)
+                plans[pid] = _join(sim, scheme, node, src_name, rng)
 
         return join_wave
 
@@ -652,7 +683,7 @@ def build_flash_crowd(spec: ExperimentSpec) -> BuiltExperiment:
     _schedule_departure(sim, scenario_obj, churn)
     _schedule_shared_process_steps(sim, scenario_obj, rng, shared)
     return BuiltExperiment(
-        spec=spec, kind="swarm", scenario=scenario_obj, runner=_run_swarm
+        spec=spec, kind="swarm", scenario=scenario_obj, runner=runner
     )
 
 
@@ -715,7 +746,7 @@ def build_source_departure(spec: ExperimentSpec) -> BuiltExperiment:
 
     rng = random.Random(spec.seed)
     shared = _shared_processes(swarm)
-    sim, family, stats = _base_simulator(
+    sim, stats = _base_simulator(
         spec, rng, link_factory=_link_factory_from_rules(swarm, shared)
     )
     scenario_obj = SimScenario("source_departure", sim, stats, target)
@@ -759,11 +790,7 @@ def asymmetric_bandwidth(
     strategy_name: str = "Recode/BF",
     max_ticks: int = 10_000,
 ) -> ExperimentSpec:
-    """Spec: a fast backbone class and a slow, jittery edge class.
-
-    Canonical name, matching the registry key; the historical
-    ``asymmetric_bandwidth_swarm`` remains as a deprecated alias.
-    """
+    """Spec: a fast backbone class and a slow, jittery edge class."""
     return ExperimentSpec(
         scenario="asymmetric_bandwidth",
         seed=seed,
@@ -812,23 +839,6 @@ def asymmetric_bandwidth(
     )
 
 
-def asymmetric_bandwidth_swarm(*args, **kwargs) -> ExperimentSpec:
-    """Deprecated alias for :func:`asymmetric_bandwidth`.
-
-    The registry key was always ``"asymmetric_bandwidth"``; the spec
-    constructor finally matches it.
-    """
-    import warnings
-
-    warnings.warn(
-        "asymmetric_bandwidth_swarm() is deprecated; use the canonical "
-        "asymmetric_bandwidth() (same signature, same registry key)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return asymmetric_bandwidth(*args, **kwargs)
-
-
 @scenario(
     "asymmetric_bandwidth",
     small_spec=lambda: asymmetric_bandwidth(
@@ -852,7 +862,7 @@ def build_asymmetric_bandwidth(spec: ExperimentSpec) -> BuiltExperiment:
 
     rng = random.Random(spec.seed)
     shared = _shared_processes(swarm)
-    sim, family, stats = _base_simulator(
+    sim, stats = _base_simulator(
         spec, rng, link_factory=_link_factory_from_rules(swarm, shared)
     )
     scenario_obj = SimScenario("asymmetric_bandwidth", sim, stats, target)
@@ -979,7 +989,7 @@ def build_correlated_regional_loss(spec: ExperimentSpec) -> BuiltExperiment:
 
     rng = random.Random(spec.seed)
     shared = _shared_processes(swarm)
-    sim, family, stats = _base_simulator(
+    sim, stats = _base_simulator(
         spec, rng, link_factory=_link_factory_from_rules(swarm, shared)
     )
     scenario_obj = SimScenario("correlated_regional_loss", sim, stats, target)
@@ -1452,7 +1462,7 @@ def build_session_swarm(spec: ExperimentSpec) -> BuiltExperiment:
 
 
 # ---------------------------------------------------------------------------
-# Overlay catalog ports (the legacy repro.overlay.scenarios helpers)
+# Overlay catalog: Figure 1 and the randomised adaptive overlay
 # ---------------------------------------------------------------------------
 
 
@@ -1503,32 +1513,12 @@ def build_figure1(spec: ExperimentSpec) -> BuiltExperiment:
         "D": distinct[quarter : 2 * quarter],  # disjoint from C
         "E": distinct[half : half + quarter],
     }
-    family = default_family()
-    stats = (
-        StatsRecorder(resolution=spec.measurement.resolution)
-        if spec.measurement.record_series
-        else None
-    )
+    policies = None
     if spec.reconfig is None:
         # The figure contrasts fixed layouts: admission only, no
-        # rewiring (the historical construction, shim-parity-pinned).
-        admission, rewiring = SketchAdmission(family), None
-    else:
-        admission, rewiring = _reconfig_policies(spec, rng)
-    transport_kwargs, link_factory = _transport_setup(spec, stats)
-    sim = simulator_class(spec)(
-        VirtualTopology(),
-        family,
-        admission=admission,
-        rewiring=rewiring,
-        strategy_name=spec.strategy.name,
-        summary_policy=_summary_policy(spec),
-        rng=rng,
-        link_factory=link_factory,
-        stats=stats,
-        **transport_kwargs,
-        **_reconfig_sim_kwargs(spec, swarm),
-    )
+        # rewiring (the historical construction).
+        policies = (SketchAdmission(default_scheme()), None)
+    sim, stats = _base_simulator(spec, rng, policies=policies)
     scenario_obj = SimScenario("figure1", sim, stats, target)
     sim.add_node(OverlayNode("S", target, is_source=True))
     for name, ids in sets.items():
@@ -1616,32 +1606,12 @@ def build_random_overlay(spec: ExperimentSpec) -> BuiltExperiment:
     with_physical = bool(spec.param("with_physical", True))
 
     rng = random.Random(spec.seed)
-    family = default_family()
     physical = None
     if with_physical:
         physical = PhysicalNetwork.random_network(
             num_routers=max(4, num_peers // 2), seed=spec.seed
         )
-    stats = (
-        StatsRecorder(resolution=spec.measurement.resolution)
-        if spec.measurement.record_series
-        else None
-    )
-    admission, rewiring = _reconfig_policies(spec, rng)
-    transport_kwargs, link_factory = _transport_setup(spec, stats)
-    sim = simulator_class(spec)(
-        VirtualTopology(physical),
-        family,
-        admission=admission,
-        rewiring=rewiring,
-        strategy_name=spec.strategy.name,
-        summary_policy=_summary_policy(spec),
-        rng=rng,
-        link_factory=link_factory,
-        stats=stats,
-        **transport_kwargs,
-        **_reconfig_sim_kwargs(spec, swarm),
-    )
+    sim, stats = _base_simulator(spec, rng, topology=VirtualTopology(physical))
     scenario_obj = SimScenario("random_overlay", sim, stats, target)
     nodes: Dict[str, OverlayNode] = {}
     routers = physical.routers() if physical is not None else []
@@ -1683,7 +1653,6 @@ __all__ = [
     "flash_crowd",
     "source_departure",
     "asymmetric_bandwidth",
-    "asymmetric_bandwidth_swarm",
     "correlated_regional_loss",
     "pair_transfer",
     "multi_sender_transfer",

@@ -13,22 +13,7 @@ policy × reconfiguration policy, reproducing the paper's informed-vs-
 uninformed comparison under contention rather than over ideal links.
 """
 
-import math
-import random
-from typing import Callable, List
-
-from repro.api.builders import (
-    _base_simulator,
-    _expect_groups,
-    _initial_ids,
-    _link_factory_from_rules,
-    _require_swarm,
-    _run_swarm,
-    _schedule_departure,
-    _schedule_shared_process_steps,
-    _shared_processes,
-    _source_group,
-)
+from repro.api.builders import _build_join_swarm, _run_swarm
 from repro.api.registry import scenario
 from repro.api.result import RunResult
 from repro.api.runner import BuiltExperiment
@@ -43,9 +28,6 @@ from repro.api.spec import (
     SwarmSpec,
     TransportSpec,
 )
-from repro.delivery.orchestrator import CandidateSender, plan_join
-from repro.overlay.node import OverlayNode
-from repro.sim.scenarios import SimScenario
 
 
 def congested_swarm(
@@ -151,96 +133,18 @@ def _run_congested(built: BuiltExperiment) -> RunResult:
     supports_transport=True,
 )
 def build_congested_swarm(spec: ExperimentSpec) -> BuiltExperiment:
-    """The flash-crowd construction with a mandatory shared bottleneck."""
-    swarm = _require_swarm(spec)
-    _expect_groups(swarm, "seed", "p")
+    """The flash-crowd construction with a mandatory shared bottleneck.
+
+    Waves land mid-tick exactly as in flash_crowd, so the two scenarios
+    differ only in the shared queue every connection drains through.
+    """
     if spec.transport is None or spec.transport.bottleneck_rate <= 0:
         raise SpecError(
             "congested_swarm requires a transport spec with bottleneck_rate "
             "> 0 — without a shared queue there is nothing to congest; use "
             "flash_crowd for uncontended runs"
         )
-    src_name = _source_group(swarm).member_ids()[0]
-    seeds = swarm.group("seed")
-    joiners = swarm.group("p")
-    churn = spec.churn
-    if churn is None or churn.join_waves < 1:
-        raise SpecError(
-            "congested_swarm requires a churn spec with join_waves >= 1"
-        )
-    target, distinct = swarm.target, swarm.distinct_symbols
-
-    rng = random.Random(spec.seed)
-    shared = _shared_processes(swarm)
-    sim, family, stats = _base_simulator(
-        spec, rng, link_factory=_link_factory_from_rules(swarm, shared)
-    )
-    scenario_obj = SimScenario("congested_swarm", sim, stats, target)
-
-    sim.add_node(OverlayNode(src_name, target, is_source=True))
-    for name in seeds.member_ids():
-        ids = _initial_ids(rng, seeds, target, distinct)
-        sim.add_node(
-            OverlayNode(
-                name, target, initial_ids=ids, max_connections=seeds.max_connections
-            )
-        )
-        sim.connect(src_name, name)
-
-    joiner_ids = list(joiners.member_ids())
-    per_wave = math.ceil(len(joiner_ids) / churn.join_waves)
-    max_connections = joiners.max_connections
-
-    def make_wave(batch: List[str]) -> Callable[[], None]:
-        def join_wave() -> None:
-            now = sim.scheduler.now
-            scenario_obj.events.append(f"t={now:g} wave of {len(batch)} joins")
-            for pid in batch:
-                ids = _initial_ids(rng, joiners, target, distinct)
-                node = OverlayNode(
-                    pid, target, initial_ids=ids, max_connections=max_connections
-                )
-                sim.add_node(node)
-                candidates = [
-                    CandidateSender(n.node_id, n.sketch(family), len(n.working_set))
-                    for n in sim.nodes.values()
-                    if not n.is_source
-                    and n.node_id != pid
-                    and len(n.working_set) > 0
-                ]
-                plan = plan_join(
-                    node.sketch(family),
-                    len(node.working_set),
-                    candidates,
-                    max_senders=max_connections,
-                    symbols_desired=target,
-                    rng=rng,
-                    now=now,
-                )
-                scenario_obj.extras.setdefault("join_plans", {})[pid] = plan
-                connected = 0
-                for sender_id in plan.selection.chosen:
-                    if sim.connect(sender_id, pid):
-                        connected += 1
-                if connected == 0:
-                    sim.connect(src_name, pid)
-
-        return join_wave
-
-    # Waves land mid-tick, after tick k's delivery pass — exactly the
-    # flash_crowd convention, so the two scenarios differ only in the
-    # shared queue every one of these connections now drains through.
-    for w in range(churn.join_waves):
-        batch = joiner_ids[w * per_wave : (w + 1) * per_wave]
-        if batch:
-            sim.scheduler.schedule_at(
-                (w + 1) * float(churn.wave_interval) + 0.5, make_wave(batch)
-            )
-    _schedule_departure(sim, scenario_obj, churn)
-    _schedule_shared_process_steps(sim, scenario_obj, rng, shared)
-    return BuiltExperiment(
-        spec=spec, kind="swarm", scenario=scenario_obj, runner=_run_congested
-    )
+    return _build_join_swarm(spec, _run_congested)
 
 
 __all__ = ["congested_swarm"]

@@ -49,7 +49,6 @@ from repro.api.spec import (
 from repro.flow.demand import apportion, tier_multipliers, wave_weights, zipf_shares
 from repro.flow.engine import CohortDef, FlowSimulator
 from repro.overlay.node import OverlayNode
-from repro.overlay.scenarios import default_family
 from repro.overlay.topology import VirtualTopology
 from repro.seeding import derive_seed
 from repro.sim.links import ConstantRateLink
@@ -354,7 +353,6 @@ def _run_packet(spec: ExperimentSpec) -> RunResult:
 
         sim = simulator_class(spec)(
             VirtualTopology(),
-            default_family(),
             admission=admission,
             rewiring=rewiring,
             strategy_name=spec.strategy.name,

@@ -9,11 +9,28 @@ RunResult`.
 """
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.api import registry
 from repro.api.result import RunResult
 from repro.api.spec import ExperimentSpec, SpecError
+from repro.overlay.simulator import OverlaySimulator, SimulationReport
+from repro.sim.stats import StatsRecorder
+
+
+@dataclass
+class SimScenario:
+    """A ready-to-run swarm: simulator, recorder, and an event log."""
+
+    name: str
+    simulator: OverlaySimulator
+    stats: Optional[StatsRecorder]
+    target: int
+    events: List[str] = field(default_factory=list)
+    extras: Dict[str, object] = field(default_factory=dict)
+
+    def run(self, max_ticks: int = 10_000) -> SimulationReport:
+        return self.simulator.run(max_ticks=max_ticks)
 
 
 @dataclass
@@ -22,17 +39,16 @@ class BuiltExperiment:
 
     ``kind`` tags the layer the scenario runs at: ``"swarm"`` (overlay
     simulator — ``scenario`` holds the ready-to-run
-    :class:`~repro.sim.scenarios.SimScenario`), ``"transfer"``
+    :class:`SimScenario`), ``"transfer"``
     (delivery loops), or ``"sessions"`` (byte-level protocol sessions).
     """
 
     spec: ExperimentSpec
     kind: str
     runner: Callable[["BuiltExperiment"], RunResult]
-    #: Swarm scenarios: the legacy scenario bundle (simulator + stats +
-    #: event log), exposed so deprecation shims and hands-on callers can
-    #: drive it directly.
-    scenario: Optional[object] = field(default=None)
+    #: Swarm scenarios: the scenario bundle (simulator + stats + event
+    #: log), exposed so hands-on callers can drive it directly.
+    scenario: Optional[SimScenario] = field(default=None)
 
     def run(self) -> RunResult:
         """Execute the experiment and collect its :class:`RunResult`."""
@@ -101,4 +117,4 @@ def run_spec_json(text: str, include_series: bool = False) -> dict:
     return result.to_dict(include_series=include_series)
 
 
-__all__ = ["BuiltExperiment", "build", "run", "run_spec_json"]
+__all__ = ["BuiltExperiment", "SimScenario", "build", "run", "run_spec_json"]

@@ -6,14 +6,12 @@
 :func:`repro.api.run` or ``spec.to_json()``.
 
 Every constructor's name matches its registry key exactly (one
-canonical name everywhere); ``asymmetric_bandwidth_swarm`` survives
-only as a deprecated alias of ``asymmetric_bandwidth``.
+canonical name everywhere).
 """
 
 from repro.api.adaptive import adaptive_overlay
 from repro.api.builders import (
     asymmetric_bandwidth,
-    asymmetric_bandwidth_swarm,  # deprecated alias, warns on call
     correlated_regional_loss,
     figure1,
     flash_crowd,
@@ -32,7 +30,6 @@ __all__ = [
     "flash_crowd",
     "source_departure",
     "asymmetric_bandwidth",
-    "asymmetric_bandwidth_swarm",
     "correlated_regional_loss",
     "pair_transfer",
     "multi_sender_transfer",

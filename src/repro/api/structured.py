@@ -62,7 +62,6 @@ from repro.api.spec import (
 from repro.overlay.catalog import CatalogNode, CatalogScheme, ObjectCatalog
 from repro.overlay.node import OverlayNode
 from repro.overlay.reconfiguration import SketchAdmission, UtilityRewiring
-from repro.overlay.scenarios import default_family
 from repro.overlay.simulator import SimulationReport
 from repro.overlay.topology import VirtualTopology
 from repro.seeding import derive_seed
@@ -150,7 +149,6 @@ def _build_scale_free_arm(spec: ExperimentSpec, arm: str, stats: StatsRecorder):
     admission, rewiring = _reconfig_policies(spec, rng, policy=arm)
     sim = simulator_class(spec)(
         VirtualTopology(),
-        default_family(),
         admission=admission,
         rewiring=rewiring,
         strategy_name=spec.strategy.name,
@@ -458,7 +456,6 @@ def build_cdn_catalog(spec: ExperimentSpec) -> BuiltExperiment:
         admission, rewiring = _catalog_policies(spec, catalog, rng)
         sim = simulator_class(spec)(
             VirtualTopology(),
-            default_family(),
             admission=admission,
             rewiring=rewiring,
             strategy_name=spec.strategy.name,

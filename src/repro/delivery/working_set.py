@@ -3,7 +3,8 @@
 Section 3's framing: sketches are an end-system's lightweight calling
 card; searchable summaries (Bloom filter, ART) cost more but enable
 fine-grained reconciliation.  :class:`WorkingSet` owns the symbol-id set
-and builds all of them with consistent parameters.
+and builds any registered summary of it (:meth:`WorkingSet.summary`),
+plus the plain Bloom filter the sender strategies probe.
 
 Every mutation bumps a monotonically increasing :attr:`WorkingSet.
 version` stamp, and additions are journalled so a consumer holding a
@@ -15,13 +16,9 @@ not incremental — so ``added_since`` then answers ``None`` and callers
 fall back to a rebuild.
 """
 
-import random
 from typing import Iterable, Iterator, List, Optional, Set
 
-from repro.art import ApproximateReconciliationTree
 from repro.filters import BloomFilter
-from repro.hashing.permutations import PermutationFamily
-from repro.sketches import MinwiseSketch, ModKSketch, RandomSampleSketch
 
 #: Default universe for symbol keys: 2^32 ids is "large" relative to any
 #: simulated file while keeping minwise permutation arithmetic cheap.
@@ -127,42 +124,21 @@ class WorkingSet:
             ws.summary("art", bits_per_element=8)     # reconciliation tree
             ws.summary("cpi", max_discrepancy=64)     # exact baseline
 
-        The typed helpers below remain for callers that want the
-        concrete structures; this is the surface the protocol, the
-        strategies, and the spec layer go through.
+        This is the surface the protocol, the strategies, and the spec
+        layer go through; callers that want a concrete structure build
+        it directly (e.g. :meth:`~repro.sketches.MinwiseSketch.build`
+        over ``ws.ids``).
         """
         from repro.reconcile import build_summary
 
         return build_summary(kind, self._ids, **params)
 
-    # -- calling cards ------------------------------------------------------
-
-    def minwise_sketch(self, family: PermutationFamily) -> MinwiseSketch:
-        """Min-wise calling card under the universally agreed family."""
-        return MinwiseSketch.build_vectorized(self._ids, family)
-
-    def random_sample_sketch(
-        self, k: int, rng: Optional[random.Random] = None
-    ) -> RandomSampleSketch:
-        """``k`` random keys with replacement (Section 4, first approach)."""
-        return RandomSampleSketch.build(self._ids, k, rng)
-
-    def modk_sketch(self, modulus: int, seed: int = 0) -> ModKSketch:
-        """Keys ≡ 0 (mod ``modulus``) (Section 4, second approach)."""
-        return ModKSketch.build(self._ids, modulus, seed)
+    # -- searchable summary --------------------------------------------------
 
     def bloom_summary(
         self, bits_per_element: int = 8, seed: int = 0
     ) -> BloomFilter:
         """Searchable Bloom summary of the working set (Section 5.2)."""
         return BloomFilter.for_elements(
-            self._ids, bits_per_element=bits_per_element, seed=seed
-        )
-
-    def art(
-        self, bits_per_element: int = 8, seed: int = 0
-    ) -> ApproximateReconciliationTree:
-        """Approximate reconciliation tree over the working set (§5.3)."""
-        return ApproximateReconciliationTree(
             self._ids, bits_per_element=bits_per_element, seed=seed
         )

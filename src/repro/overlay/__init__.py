@@ -9,17 +9,21 @@ reconfiguration when connections lose utility.
 * :mod:`repro.overlay.topology` — virtual topology over a physical
   network model; tree embedding, perpendicular edge selection, rerouting
   around congested paths.
-* :mod:`repro.overlay.node` — overlay end-systems: working set, sketch
-  publication, connection slots.
+* :mod:`repro.overlay.node` — overlay end-systems: working set, one
+  cached summary card per kind (the min-wise calling card included),
+  connection slots.
 * :mod:`repro.overlay.simulator` — event-driven simulation engine
   (built on :mod:`repro.sim`): connections deliver packets through
   pluggable link models (bandwidth-, loss- and latency-limited), nodes
   reconcile and adapt peering, metrics are collected per node.  The
   legacy tick API is preserved — a tick is a periodic event.
-* :mod:`repro.overlay.reconfiguration` — peering policies: sketch-based
-  admission control and utility-driven rewiring.
-* :mod:`repro.overlay.scenarios` — canned topologies including the
-  paper's Figure 1 example.
+* :mod:`repro.overlay.reconfiguration` — peering policies: summary-based
+  admission control and utility-driven rewiring, plus
+  :func:`default_scheme`, the universally agreed min-wise card.
+
+Canned overlays (the paper's Figure 1, the randomised adaptive
+overlay) are scenarios of :mod:`repro.api`: ``specs.figure1(...)``,
+``specs.random_overlay(...)``.
 """
 
 from repro.overlay.topology import PhysicalNetwork, VirtualTopology
@@ -33,8 +37,8 @@ from repro.overlay.reconfiguration import (
     SketchAdmission,
     SummaryScheme,
     UtilityRewiring,
+    default_scheme,
 )
-from repro.overlay.scenarios import figure1_scenario, random_overlay_scenario
 from repro.overlay.churn import ChurnProcess, run_with_churn
 
 __all__ = [
@@ -53,6 +57,5 @@ __all__ = [
     "UtilityRewiring",
     "RandomRewiring",
     "SummaryScheme",
-    "figure1_scenario",
-    "random_overlay_scenario",
+    "default_scheme",
 ]

@@ -7,12 +7,9 @@ partial nodes serve from what they hold.
 """
 
 import itertools
-import random
 from typing import Any, Dict, Iterable, Optional, Tuple
 
 from repro.delivery.working_set import DEFAULT_KEY_UNIVERSE, WorkingSet
-from repro.hashing.permutations import PermutationFamily
-from repro.sketches import MinwiseSketch
 
 
 class OverlayNode:
@@ -27,10 +24,10 @@ class OverlayNode:
             encoding on demand (never run dry, never redundant).
         max_connections: inbound connection slots (download concurrency).
 
-    Cached sketches and summary cards are stamped with the working
-    set's :attr:`~repro.delivery.working_set.WorkingSet.version` and,
-    when the set grew since the stamp, brought current by *absorbing*
-    the journalled delta (Section 4's O(1)-per-symbol maintenance)
+    Cached summary cards are stamped with the working set's
+    :attr:`~repro.delivery.working_set.WorkingSet.version` and, when
+    the set grew since the stamp, brought current by *absorbing* the
+    journalled delta (Section 4's O(1)-per-symbol maintenance)
     rather than rebuilding — bit-identical either way, which the parity
     suites pin.  Kinds that cannot absorb, and working sets that shrank,
     fall back to the rebuild.
@@ -57,8 +54,6 @@ class OverlayNode:
         self.working_set = WorkingSet(initial_ids)
         self.is_source = is_source
         self.max_connections = max_connections
-        self._sketch: Optional[MinwiseSketch] = None
-        self._sketch_version: Optional[int] = None
         #: (kind, sorted params) -> (working-set version at build, card).
         self._cards: Dict[
             Tuple[str, Tuple[Tuple[str, Any], ...]], Tuple[int, Any]
@@ -82,7 +77,7 @@ class OverlayNode:
         """Add one symbol id; True if it was new.
 
         Cache invalidation is implicit: the working set bumps its
-        version stamp, which the cached sketch/cards compare against —
+        version stamp, which the cached cards compare against —
         so even ids added to ``working_set`` directly (scenario seeding)
         invalidate correctly.
         """
@@ -96,46 +91,13 @@ class OverlayNode:
 
     # -- calling card --------------------------------------------------------
 
-    def sketch(self, family: PermutationFamily) -> MinwiseSketch:
-        """Current min-wise sketch, maintained incrementally (Section 4).
-
-        New symbols since the cached stamp are absorbed via one batch
-        pass over the delta (:meth:`MinwiseSketch.absorb_vectorized`);
-        a shrunk working set — or a disabled :attr:`incremental_cards`
-        toggle — rebuilds from scratch.  Both paths publish identical
-        minima.
-        """
-        ws = self.working_set
-        version = ws.version
-        if self._sketch is not None and self._sketch_version == version:
-            return self._sketch
-        if (
-            self._sketch is not None
-            and self._sketch_version is not None
-            and OverlayNode.incremental_cards
-        ):
-            delta = ws.added_since(self._sketch_version)
-            if delta is not None:
-                u = self._sketch.family.universe_size
-                self._sketch = self._sketch.absorb_vectorized(
-                    i % u for i in delta
-                )
-                self._sketch_version = version
-                return self._sketch
-        ids = ws.ids
-        # Sketch over the key universe the family expects.
-        self._sketch = MinwiseSketch.build_vectorized(
-            (i % family.universe_size for i in ids), family
-        )
-        self._sketch_version = version
-        return self._sketch
-
     def summary_card(
         self, kind: str, params: Tuple[Tuple[str, Any], ...] = ()
     ) -> Any:
         """Current working-set summary of any registered kind, cached.
 
-        The generic counterpart of :meth:`sketch`: builds a
+        The node's one card cache — the min-wise calling card of
+        Section 4 included.  Builds a
         :class:`~repro.reconcile.base.Summary` through the adapter
         registry, stamps it with the working set's version, and — for
         kinds declaring ``supports_incremental`` — brings a stale card
@@ -143,8 +105,7 @@ class OverlayNode:
         so a reconfiguration epoch scanning many candidate pairs pays
         per *new symbol*, not per working-set size.  The cache key
         sorts ``params``, so permuted-but-equal tuples share one row.
-        Min-wise cards fold ids into the family's universe exactly as
-        :meth:`sketch` does, so the two paths publish identical minima.
+        Min-wise cards fold ids into the family's ``universe`` first.
         """
         key = (kind, tuple(sorted(params)))
         ws = self.working_set
@@ -179,20 +140,6 @@ class OverlayNode:
         card = build_summary(kind, ids, **kwargs)
         self._cards[key] = (version, card)
         return card
-
-    def estimated_usefulness_of(
-        self, other: "OverlayNode", family: PermutationFamily
-    ) -> float:
-        """1 - resemblance: a cheap proxy for how much ``other`` offers.
-
-        Sources are always maximally useful.  This is the admission-
-        control signal from Section 4: "receivers ... immediately reject
-        candidate senders whose content is identical to their own".
-        """
-        if other.is_source:
-            return 1.0
-        r = self.sketch(family).estimate_resemblance(other.sketch(family))
-        return 1.0 - r
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         kind = "source" if self.is_source else "peer"

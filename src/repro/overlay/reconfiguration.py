@@ -11,18 +11,14 @@ The utility signal is pluggable: a :class:`SummaryScheme` names any
 registered :class:`~repro.reconcile.base.Summary` kind (min-wise, Bloom,
 mod-k, CPI, ...) and estimates peer usefulness through that structure's
 own reconciliation surface, with the control bytes each exchanged card
-would cost reported honestly via ``wire_bytes``.  Constructing a policy
-from a raw :class:`~repro.hashing.permutations.PermutationFamily` (the
-historical signature) coerces to a min-wise scheme over the same family
-and publishes bit-identical minima, so seeded legacy runs replay
-exactly — ``tests/sim/test_parity.py`` pins it.
+would cost reported honestly via ``wire_bytes``.  :func:`default_scheme`
+is the historical min-wise calling card every overlay node publishes.
 """
 
 import math
 import random
-from typing import Any, Dict, List, Mapping, Optional, Protocol, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Protocol, Tuple
 
-from repro.hashing.permutations import PermutationFamily
 from repro.overlay.node import OverlayNode
 from repro.reconcile.base import Summary
 from repro.reconcile.registry import summary_class
@@ -69,31 +65,6 @@ class SummaryScheme:
         """
         self._memo = memo
 
-    @classmethod
-    def from_family(cls, family: PermutationFamily) -> "SummaryScheme":
-        """The min-wise scheme publishing ``family``'s exact minima."""
-        return cls(
-            "minwise",
-            {
-                "entries": len(family),
-                "universe": family.universe_size,
-                "seed": family.seed,
-            },
-        )
-
-    @classmethod
-    def coerce(
-        cls, scheme: Union["SummaryScheme", PermutationFamily]
-    ) -> "SummaryScheme":
-        """Accept either a scheme or the historical family argument."""
-        if isinstance(scheme, SummaryScheme):
-            return scheme
-        if isinstance(scheme, PermutationFamily):
-            return cls.from_family(scheme)
-        raise TypeError(
-            f"expected a SummaryScheme or PermutationFamily, got {type(scheme).__name__}"
-        )
-
     def params_dict(self) -> Dict[str, Any]:
         return dict(self.params)
 
@@ -105,9 +76,9 @@ class SummaryScheme:
         """Estimated ``|A ∩ B| / |A ∪ B|`` between two same-scheme cards.
 
         Min-wise cards use their native matching-positions estimator —
-        the exact float the legacy sketch path produced.  Every other
-        kind derives resemblance from its symmetric-difference estimate
-        by inclusion-exclusion (the inverse map, so an unclamped
+        the exact float :class:`~repro.sketches.MinwiseSketch` computes.
+        Every other kind derives resemblance from its symmetric-difference
+        estimate by inclusion-exclusion (the inverse map, so an unclamped
         estimate round-trips exactly); an exceeded CPI bound reads as
         resemblance 0.0 — a discrepancy too large to reconcile *is*
         evidence of low overlap.
@@ -158,6 +129,16 @@ class SummaryScheme:
         return f"SummaryScheme(kind={self.kind!r}, params={dict(self.params)!r})"
 
 
+def default_scheme() -> SummaryScheme:
+    """The universally agreed min-wise calling card (peers agree off-line).
+
+    128 permutations over the 2^32 key universe, family seed 99.  A
+    fresh scheme per call: a scheme carries the usefulness memo its
+    simulator installs, so sharing one instance would share the memo.
+    """
+    return SummaryScheme("minwise", {"entries": 128, "universe": 1 << 32, "seed": 99})
+
+
 class AdmissionPolicy(Protocol):
     """Decides whether a receiver should accept a candidate sender."""
 
@@ -171,18 +152,13 @@ class SketchAdmission:
 
     A threshold of 0 admits everyone except exact-duplicate working sets
     (up to summary noise); the paper's "simple admission control".  Any
-    :class:`SummaryScheme` (or, for the historical path, a raw
-    :class:`PermutationFamily`) supplies the estimate.
+    :class:`SummaryScheme` supplies the estimate.
     """
 
-    def __init__(
-        self,
-        scheme: Union[SummaryScheme, PermutationFamily],
-        min_usefulness: float = 0.02,
-    ):
+    def __init__(self, scheme: SummaryScheme, min_usefulness: float = 0.02):
         if not 0.0 <= min_usefulness <= 1.0:
             raise ValueError("threshold must lie in [0, 1]")
-        self.scheme = SummaryScheme.coerce(scheme)
+        self.scheme = scheme
         self.min_usefulness = min_usefulness
 
     def admit(self, receiver: OverlayNode, candidate: OverlayNode) -> bool:
@@ -247,13 +223,13 @@ class UtilityRewiring:
 
     def __init__(
         self,
-        scheme: Union[SummaryScheme, PermutationFamily],
+        scheme: SummaryScheme,
         hysteresis: float = 0.1,
         rng: Optional[random.Random] = None,
     ):
         if hysteresis < 0:
             raise ValueError("hysteresis must be non-negative")
-        self.scheme = SummaryScheme.coerce(scheme)
+        self.scheme = scheme
         self.hysteresis = hysteresis
         self.rng = rng if rng is not None else default_rng("overlay.reconfiguration")
 

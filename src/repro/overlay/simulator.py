@@ -30,7 +30,6 @@ from repro.coding.peeler import RecodedPeeler
 from repro.coding.symbol import RecodedSymbol
 from repro.delivery.packets import Packet
 from repro.delivery.strategies import SenderStrategy, make_strategy
-from repro.hashing.permutations import PermutationFamily
 from repro.overlay.node import OverlayNode
 from repro.overlay.reconfiguration import AdmissionPolicy, ReconfigurationPolicy
 from repro.overlay.topology import PathCharacteristics, VirtualTopology
@@ -190,8 +189,9 @@ class OverlaySimulator:
 
     Args:
         topology: the virtual overlay (optionally over a physical net).
-        sketch_family: shared min-wise family for calling cards.
-        admission/rewiring: peering policies (Section 4).
+        admission/rewiring: peering policies (Section 4); their
+            :class:`~repro.overlay.reconfiguration.SummaryScheme` names
+            the calling cards nodes publish.
         strategy_name: sender strategy legend name (Figures 5-8).
         summary_policy: optional :class:`~repro.reconcile.SummaryPolicy`
             the per-connection strategies reconcile through; ``None``
@@ -233,7 +233,6 @@ class OverlaySimulator:
     def __init__(
         self,
         topology: VirtualTopology,
-        sketch_family: PermutationFamily,
         admission: Optional[AdmissionPolicy] = None,
         rewiring: Optional[ReconfigurationPolicy] = None,
         strategy_name: str = "Recode/BF",
@@ -253,7 +252,6 @@ class OverlaySimulator:
         if reconfig_budget < 0:
             raise ValueError("reconfig_budget must be non-negative")
         self.topology = topology
-        self.family = sketch_family
         self.admission = admission
         self.rewiring = rewiring
         self.strategy_name = strategy_name

@@ -2,8 +2,9 @@
 
 The substrate under the overlay simulator (and every later scaling
 layer): a heap-scheduled event clock, pluggable per-connection link
-models, a time-series stats recorder, protocol sessions paced on the
-shared clock, and a scenario catalog of adversarial workloads.
+models, a time-series stats recorder, and protocol sessions paced on
+the shared clock.  The scenario catalog built on it lives behind
+:mod:`repro.api` (``build(specs.flash_crowd(...)).scenario``).
 
 * :mod:`repro.sim.engine` — :class:`EventScheduler`: heap of
   timestamped callbacks, deterministic FIFO tie-breaking, periodic
@@ -15,10 +16,6 @@ shared clock, and a scenario catalog of adversarial workloads.
   counters and gauges bucketed on the simulated clock.
 * :mod:`repro.sim.sessions` — :class:`ScheduledSession`: the Section 6
   protocol sessions paced by link models on the shared clock.
-* :mod:`repro.sim.scenarios` — the :class:`SimScenario` bundle plus
-  deprecated constructor shims; the catalog itself now lives behind
-  :mod:`repro.api` (flash crowd, source departure, asymmetric
-  bandwidth, correlated regional loss).
 """
 
 from repro.sim.engine import EventHandle, EventScheduler
@@ -33,16 +30,6 @@ from repro.sim.links import (
 from repro.sim.stats import StatsRecorder
 
 
-def __getattr__(name):
-    # Lazy re-exports: repro.sim.scenarios sits above the overlay layer
-    # (its shims build overlay simulators), so importing it eagerly here
-    # would cycle overlay -> sim -> scenarios -> overlay.
-    if name in ("SimScenario", "SCENARIOS"):
-        from repro.sim import scenarios
-
-        return getattr(scenarios, name)
-    raise AttributeError(f"module 'repro.sim' has no attribute {name!r}")
-
 __all__ = [
     "EventHandle",
     "EventScheduler",
@@ -53,6 +40,4 @@ __all__ = [
     "GilbertElliottProcess",
     "TraceBandwidthLink",
     "StatsRecorder",
-    "SimScenario",
-    "SCENARIOS",
 ]

@@ -148,10 +148,11 @@ class MinwiseSketch:
     def estimate_resemblance(self, other: "MinwiseSketch") -> float:
         """Fraction of matching positions — unbiased estimate of ``r``.
 
-        Two empty sketches resemble completely vacuously; we return 0.0 for
-        that case (no evidence of shared content) and raise if only one
-        side is empty-but-compared, since a real protocol would not sketch
-        an empty working set.
+        Two empty sketches would resemble completely, vacuously; we
+        return 0.0 for that case (no evidence of shared content).  When
+        only one side is empty its positions hold no minima, so nothing
+        matches and the estimate is 0.0 as well.  Sketches from
+        different families raise :class:`ValueError`.
         """
         self._check_comparable(other)
         if self.is_empty and other.is_empty:

@@ -191,6 +191,19 @@ def _normalize(
     )
 
 
+def _require_count(kind: str, name: str, value: object) -> None:
+    """A generator's integer parameter must be an int >= 1.
+
+    Bools, floats and strings (a mistyped CLI value) are rejected here
+    as :class:`TopologyError` rather than failing later inside the
+    generator's arithmetic with a bare ``TypeError``.
+    """
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise TopologyError(
+            f"{kind} topology needs an integer {name} >= 1, got {value!r}"
+        )
+
+
 def _attachment_tree(n: int, rng: random.Random) -> List[Tuple[int, int]]:
     """A random recursive tree: node ``i`` attaches to a prior node."""
     return [(rng.randrange(i), i) for i in range(1, n)]
@@ -203,8 +216,7 @@ def _attachment_tree(n: int, rng: random.Random) -> List[Tuple[int, int]]:
     description="connected Erdos-Renyi-style graph around a random tree",
 )
 def _random_graph(n: int, rng: random.Random, *, degree: int = 4):
-    if degree < 1:
-        raise TopologyError(f"random topology needs degree >= 1, got {degree}")
+    _require_count("random", "degree", degree)
     edges = _attachment_tree(n, rng)
     # Top the spanning tree up to roughly n*degree/2 edges total.
     extra = max(0, n * degree // 2 - len(edges))
@@ -237,10 +249,7 @@ def _ring_graph(n: int, rng: random.Random):
     description="Barabasi-Albert preferential attachment (power-law hubs)",
 )
 def _scale_free_graph(n: int, rng: random.Random, *, attach: int = 2):
-    if attach < 1:
-        raise TopologyError(
-            f"scale_free topology needs attach >= 1, got {attach}"
-        )
+    _require_count("scale_free", "attach", attach)
     core = min(attach + 1, n)
     edges = [(u, v) for u in range(core) for v in range(u + 1, core)]
     # Endpoint multiset: each edge contributes both ends, so a draw is
@@ -269,14 +278,8 @@ def _scale_free_graph(n: int, rng: random.Random, *, attach: int = 2):
 def _clustered_graph(
     n: int, rng: random.Random, *, clusters: int = 3, degree: int = 4
 ):
-    if clusters < 1:
-        raise TopologyError(
-            f"clustered topology needs clusters >= 1, got {clusters}"
-        )
-    if degree < 1:
-        raise TopologyError(
-            f"clustered topology needs degree >= 1, got {degree}"
-        )
+    _require_count("clustered", "clusters", clusters)
+    _require_count("clustered", "degree", degree)
     clusters = min(clusters, n)
     community = [i * clusters // n for i in range(n)]
     members: List[List[int]] = [[] for _ in range(clusters)]
@@ -312,12 +315,8 @@ def _clustered_graph(
 def _cdn_tiers_graph(
     n: int, rng: random.Random, *, tiers: int = 3, fanout: int = 3
 ):
-    if tiers < 1:
-        raise TopologyError(f"cdn_tiers topology needs tiers >= 1, got {tiers}")
-    if fanout < 1:
-        raise TopologyError(
-            f"cdn_tiers topology needs fanout >= 1, got {fanout}"
-        )
+    _require_count("cdn_tiers", "tiers", tiers)
+    _require_count("cdn_tiers", "fanout", fanout)
     tier = [0]
     edges: List[Tuple[int, int]] = []
     level_nodes = [0]

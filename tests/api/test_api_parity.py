@@ -6,8 +6,9 @@ Three layers of protection:
   the exact seeded metrics the pre-API implementation produced (the
   constants below were captured from the legacy ``repro.sim.scenarios``
   before the refactor).
-* **Shim equivalence** — the deprecated legacy functions and the
-  spec-driven path yield identical reports for identical parameters.
+* **Miniature pins** — small non-default runs of the same catalog
+  hold their seeded reports, completion ticks included (the numbers
+  the retired legacy constructors produced for the same parameters).
 * **Delivery/figure parity** — a ``pair_transfer`` /
   ``multi_sender_transfer`` spec run matches the hand-wired
   make-scenario + make-strategy + simulate loop it replaced, and
@@ -69,48 +70,54 @@ class TestSwarmBaselinePins:
         assert result.completed
 
 
-class TestShimEquivalence:
-    """Each deprecated constructor matches its spec-driven twin."""
+#: Seeded reports of small non-default runs (max_ticks=4000): ticks,
+#: sent, lost, useful, reconfigurations, and every node's completion
+#: tick — the numbers the retired legacy constructors produced for the
+#: same parameters, so they pin the join-wave, departure, link-class and
+#: shared-loss constructions beyond the default runs above.
+MINIATURE_PINS = {
+    "flash_crowd": (
+        dict(num_peers=12, target=50, initial_seeded=2, waves=2, wave_interval=8, seed=3),
+        (48, 834, 0, 329, 18),
+        {
+            "p0": 42, "p1": 42, "p2": 38, "p3": 37, "p4": 36, "p5": 44,
+            "p6": 40, "p7": 48, "p8": 42, "p9": 40, "seed0": 23, "seed1": 25,
+        },
+    ),
+    "source_departure": (
+        dict(num_peers=6, target=60, depart_at=4.0, seed=5),
+        (21, 243, 0, 62, 12),
+        {"p0": 21, "p1": 18, "p2": 21, "p3": 21, "p4": 20, "p5": 16},
+    ),
+    "asymmetric_bandwidth": (
+        dict(num_fast=3, num_slow=3, target=50, seed=7),
+        (25, 507, 3, 196, 6),
+        {"fast0": 10, "fast1": 13, "fast2": 9, "slow0": 24, "slow1": 25, "slow2": 24},
+    ),
+    "correlated_regional_loss": (
+        dict(peers_per_region=3, target=50, seed=9),
+        (29, 396, 29, 188, 4),
+        {"a0": 18, "a1": 14, "a2": 22, "b0": 16, "b1": 27, "b2": 28},
+    ),
+}
 
-    CASES = [
-        (
-            "flash_crowd",
-            dict(num_peers=12, target=50, initial_seeded=2, waves=2, wave_interval=8, seed=3),
-        ),
-        ("source_departure", dict(num_peers=6, target=60, depart_at=4.0, seed=5)),
-        (
-            "asymmetric_bandwidth",
-            dict(num_fast=3, num_slow=3, target=50, seed=7),
-        ),
-        (
-            "correlated_regional_loss",
-            dict(peers_per_region=3, target=50, seed=9),
-        ),
-    ]
 
-    @pytest.mark.parametrize("name,kwargs", CASES, ids=[c[0] for c in CASES])
-    def test_shim_and_spec_agree(self, name, kwargs):
-        import repro.sim.scenarios as legacy
-
-        legacy_fn = {
-            "flash_crowd": legacy.flash_crowd,
-            "source_departure": legacy.source_departure,
-            "asymmetric_bandwidth": legacy.asymmetric_bandwidth_swarm,
-            "correlated_regional_loss": legacy.correlated_regional_loss,
-        }[name]
-        with pytest.deprecated_call():
-            shim_report = legacy_fn(**kwargs).run(max_ticks=4000)
-        spec = SPEC_FACTORIES[name](**kwargs)
-        spec_result = run(
-            SPEC_FACTORIES[name](**kwargs, max_ticks=4000)
-        )
-        assert spec == SPEC_FACTORIES[name](**kwargs)  # constructors are pure
-        spec_report = spec_result.report
-        assert shim_report.ticks == spec_report.ticks
-        assert shim_report.packets_sent == spec_report.packets_sent
-        assert shim_report.packets_lost == spec_report.packets_lost
-        assert shim_report.packets_useful == spec_report.packets_useful
-        assert shim_report.completion_ticks == spec_report.completion_ticks
+class TestMiniaturePins:
+    @pytest.mark.parametrize("name", sorted(MINIATURE_PINS))
+    def test_seeded_miniature_report(self, name):
+        kwargs, totals, completion = MINIATURE_PINS[name]
+        spec = SPEC_FACTORIES[name](**kwargs, max_ticks=4000)
+        assert spec == SPEC_FACTORIES[name](**kwargs, max_ticks=4000)  # pure
+        report = run(spec).report
+        assert report.all_complete
+        assert (
+            report.ticks,
+            report.packets_sent,
+            report.packets_lost,
+            report.packets_useful,
+            report.reconfigurations,
+        ) == totals
+        assert report.completion_ticks == completion
 
 
 class TestDeliveryParity:

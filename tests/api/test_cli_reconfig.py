@@ -1,6 +1,7 @@
 """CLI surface of the adaptive-overlay subsystem.
 
-``--reconfig`` parsing and plumbing (single runs and campaigns),
+``--reconfig`` plumbing (single runs and campaigns; parsing is covered
+with the other component flags in ``test_cli_components.py``),
 ``--list`` spec/grid markers, and the gridless ``--campaign-scenario``
 refusal.
 """
@@ -12,8 +13,7 @@ import sys
 
 import pytest
 
-from repro.api import ReconfigSpec, SpecError, registry
-from repro.api.__main__ import parse_reconfig_arg
+from repro.api import SpecError, registry
 from repro.campaign import small_campaign
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
@@ -31,35 +31,6 @@ def _cli(*args, **kwargs):
         cwd=REPO_ROOT,
         **kwargs,
     )
-
-
-class TestParseReconfigArg:
-    def test_bare_policy(self):
-        assert parse_reconfig_arg("static") == ReconfigSpec(policy="static")
-
-    def test_fields_and_summary_params(self):
-        spec = parse_reconfig_arg(
-            "informed:summary=bloom,summary.bits_per_element=4,"
-            "interval=10,jitter=0.5,scan_budget=8"
-        )
-        assert spec.policy == "informed"
-        assert spec.summary.kind == "bloom"
-        assert spec.summary.param("bits_per_element") == 4
-        assert spec.interval == 10
-        assert spec.jitter == 0.5
-        assert spec.scan_budget == 8
-
-    def test_malformed_inputs_fold_into_spec_error(self):
-        with pytest.raises(SpecError):
-            parse_reconfig_arg(":interval=5")
-        with pytest.raises(SpecError):
-            parse_reconfig_arg("informed:notakeyvalue")
-        with pytest.raises(SpecError):
-            parse_reconfig_arg("informed:unknown_field=3")
-        with pytest.raises(SpecError):
-            parse_reconfig_arg("informed:summary.bits_per_element=4")  # no kind
-        with pytest.raises(SpecError):
-            parse_reconfig_arg("psychic")
 
 
 class TestReconfigCli:

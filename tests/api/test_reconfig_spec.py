@@ -230,48 +230,37 @@ class TestAdaptiveOverlayScenario:
             build(spec)
 
 
-class TestOverlayShimParity:
-    """The deprecated overlay helpers equal their spec-driven twins."""
+class TestOverlayPins:
+    """Figure 1 and the random overlay hold their seeded reports."""
 
-    def test_figure1_shim_matches_spec(self):
-        from repro.overlay.scenarios import figure1_scenario
+    def test_figure1_report(self):
+        scenario = build(specs.figure1(target=200, seed=9)).scenario
+        report = scenario.simulator.run(max_ticks=2000)
+        assert report.all_complete
+        assert (report.ticks, report.packets_sent, report.packets_lost) == (101, 1099, 0)
+        assert (report.packets_useful, report.reconfigurations) == (237, 0)
+        assert report.completion_ticks == {"A": 77, "B": 58, "C": 95, "D": 101, "E": 82}
+        assert set(scenario.simulator.nodes) == {"S", "A", "B", "C", "D", "E"}
 
-        with pytest.deprecated_call():
-            bundle = figure1_scenario(target=200, seed=9)
-        shim_report = bundle.simulator.run(max_ticks=2000)
-        spec_report = (
-            build(specs.figure1(target=200, seed=9)).scenario.simulator.run(
-                max_ticks=2000
-            )
+    def test_random_overlay_report(self):
+        spec = specs.random_overlay(
+            num_peers=8,
+            target=80,
+            seed=19,
+            initial_fraction_lo=0.1,
+            initial_fraction_hi=0.5,
         )
-        assert shim_report == spec_report
-        assert set(bundle.nodes) == {"S", "A", "B", "C", "D", "E"}
+        report = build(spec).scenario.simulator.run(max_ticks=2000)
+        assert report.all_complete
+        assert (report.ticks, report.packets_sent, report.packets_lost) == (27, 541, 11)
+        assert (report.packets_useful, report.reconfigurations) == (423, 16)
+        assert (report.reconfig_epochs, report.control_bytes) == (1, 57568)
+        assert report.completion_ticks == {
+            "p0": 22, "p1": 21, "p2": 22, "p3": 26,
+            "p4": 27, "p5": 21, "p6": 23, "p7": 27,
+        }
 
-    def test_random_overlay_shim_matches_spec(self):
-        from repro.overlay.scenarios import random_overlay_scenario
-
-        with pytest.deprecated_call():
-            bundle = random_overlay_scenario(
-                num_peers=8, target=80, seed=19, initial_fraction=(0.1, 0.5)
-            )
-        shim_report = bundle.simulator.run(max_ticks=2000)
-        spec_report = (
-            build(
-                specs.random_overlay(
-                    num_peers=8,
-                    target=80,
-                    seed=19,
-                    initial_fraction_lo=0.1,
-                    initial_fraction_hi=0.5,
-                )
-            ).scenario.simulator.run(max_ticks=2000)
-        )
-        assert shim_report == spec_report
-
-    def test_shim_bundle_exposes_all_nodes(self):
-        from repro.overlay.scenarios import random_overlay_scenario
-
-        with pytest.deprecated_call():
-            bundle = random_overlay_scenario(num_peers=5, target=60, seed=3)
-        assert set(bundle.nodes) == {"src0"} | {f"p{i}" for i in range(5)}
-        assert bundle.target == 60
+    def test_scenario_exposes_all_nodes(self):
+        scenario = build(specs.random_overlay(num_peers=5, target=60, seed=3)).scenario
+        assert set(scenario.simulator.nodes) == {"src0"} | {f"p{i}" for i in range(5)}
+        assert scenario.target == 60

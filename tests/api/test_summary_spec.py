@@ -1,6 +1,6 @@
 """SummarySpec on the spec layer: validation, round trips, one-knob runs,
 the summary_tradeoff scenario, the --summary CLI flag, and the
-asymmetric_bandwidth alias cleanup."""
+asymmetric_bandwidth constructor name."""
 
 import dataclasses
 import json
@@ -11,7 +11,6 @@ import sys
 import pytest
 
 from repro.api import ExperimentSpec, SpecError, StrategySpec, SummarySpec, run, specs
-from repro.api.__main__ import parse_summary_arg
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 SRC = os.path.join(REPO_ROOT, "src")
@@ -179,17 +178,10 @@ class TestSummaryTradeoff:
             specs.summary_tradeoff(budgets="8,8")
 
 
-class TestAsymmetricBandwidthAlias:
+class TestAsymmetricBandwidthName:
     def test_canonical_name_matches_registry_key(self):
         spec = specs.asymmetric_bandwidth(num_fast=2, num_slow=2, seed=1)
         assert spec.scenario == "asymmetric_bandwidth"
-
-    def test_swarm_alias_warns_and_matches(self):
-        with pytest.warns(DeprecationWarning, match="asymmetric_bandwidth_swarm"):
-            alias_spec = specs.asymmetric_bandwidth_swarm(
-                num_fast=2, num_slow=2, seed=1
-            )
-        assert alias_spec == specs.asymmetric_bandwidth(num_fast=2, num_slow=2, seed=1)
 
 
 def _cli(*args, **kwargs):
@@ -206,21 +198,6 @@ def _cli(*args, **kwargs):
 
 
 class TestSummaryCliFlag:
-    def test_parse_summary_arg(self):
-        s = parse_summary_arg("art:bits_per_element=16,correction=2")
-        assert s == SummarySpec(
-            kind="art", params={"bits_per_element": 16, "correction": 2}
-        )
-        assert parse_summary_arg("bloom") == SummarySpec(kind="bloom")
-
-    def test_parse_errors_are_spec_errors(self):
-        with pytest.raises(SpecError):
-            parse_summary_arg(":k=1")
-        with pytest.raises(SpecError):
-            parse_summary_arg("bloom:oops")
-        with pytest.raises(SpecError):
-            parse_summary_arg("nope")
-
     def test_cli_summary_override_runs(self):
         proc = _cli("--scenario", "pair_transfer", "--summary", "bloom")
         assert proc.returncode == 0, proc.stderr

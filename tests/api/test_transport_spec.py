@@ -1,4 +1,4 @@
-"""TransportSpec: validation, overrides, CLI parsing, and parity pins.
+"""TransportSpec: validation, overrides, and parity pins.
 
 The tentpole contract of the transport subsystem:
 
@@ -19,7 +19,6 @@ import dataclasses
 import pytest
 
 from repro.api import ExperimentSpec, SpecError, TransportSpec, run, specs
-from repro.api.__main__ import parse_transport_arg
 
 
 class TestTransportSpecValue:
@@ -116,23 +115,3 @@ class TestOpenLoopParity:
         )
         with_t = run(dataclasses.replace(base, transport=TransportSpec()))
         assert "transport_tracked" in with_t.metrics
-
-
-class TestCliParsing:
-    def test_policy_and_params(self):
-        ts = parse_transport_arg("aimd:beta=0.7,bottleneck_rate=12,rto_min=1.5")
-        assert ts == TransportSpec(
-            policy="aimd", params={"beta": 0.7},
-            bottleneck_rate=12, rto_min=1.5,
-        )
-
-    def test_bare_policy(self):
-        assert parse_transport_arg("open_loop") == TransportSpec()
-
-    def test_malformed_input_is_a_spec_error(self):
-        with pytest.raises(SpecError):
-            parse_transport_arg(":beta=0.7")
-        with pytest.raises(SpecError):
-            parse_transport_arg("aimd:beta")
-        with pytest.raises(SpecError):
-            parse_transport_arg("psychic")

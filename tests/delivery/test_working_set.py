@@ -4,8 +4,10 @@ import random
 
 import pytest
 
+from repro.art import ApproximateReconciliationTree
 from repro.delivery import WorkingSet
 from repro.hashing.permutations import PermutationFamily
+from repro.sketches import MinwiseSketch, ModKSketch, RandomSampleSketch
 
 
 class TestWorkingSetBasics:
@@ -58,7 +60,9 @@ class TestCallingCards:
         shared = rng.sample(range(1 << 30), 500)
         a = WorkingSet(shared + rng.sample(range(1 << 31, 1 << 32), 500))
         b = WorkingSet(shared + rng.sample(range(1 << 30, 1 << 31), 500))
-        est = a.minwise_sketch(fam).estimate_resemblance(b.minwise_sketch(fam))
+        est = MinwiseSketch.build_vectorized(a.ids, fam).estimate_resemblance(
+            MinwiseSketch.build_vectorized(b.ids, fam)
+        )
         assert abs(est - a.resemblance_with(b)) < 0.1
 
     def test_bloom_summary_membership(self):
@@ -70,13 +74,13 @@ class TestCallingCards:
         rng = random.Random(2)
         a = WorkingSet(rng.sample(range(1 << 30), 400))
         b = WorkingSet(list(a.ids)[:350] + rng.sample(range(1 << 31, 1 << 32), 50))
-        art_a = a.art(seed=3)
-        art_b = b.art(seed=3)
+        art_a = ApproximateReconciliationTree(a.ids, seed=3)
+        art_b = ApproximateReconciliationTree(b.ids, seed=3)
         stats = art_b.difference_against(art_a.summary(), correction=4)
         assert set(stats.differences) <= b.ids - a.ids
 
     def test_sample_sketches(self):
         ws = WorkingSet(range(1000))
-        assert len(ws.random_sample_sketch(64, random.Random(1))) == 64
-        mk = ws.modk_sketch(modulus=10)
+        assert len(RandomSampleSketch.build(ws.ids, 64, random.Random(1))) == 64
+        mk = ModKSketch.build(ws.ids, 10)
         assert 50 <= len(mk) <= 200

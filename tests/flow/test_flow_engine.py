@@ -10,12 +10,12 @@ from repro.overlay.reconfiguration import (
     SketchAdmission,
     SummaryScheme,
     UtilityRewiring,
+    default_scheme,
 )
-from repro.overlay.scenarios import default_family
 
 
 def _scheme() -> SummaryScheme:
-    return SummaryScheme.from_family(default_family())
+    return default_scheme()
 
 
 def _informed(rng):

@@ -28,13 +28,13 @@ class TestSketchToTransferPipeline:
     def test_sketch_estimate_drives_mw_strategy(self):
         """The full §4 -> §5.4 pipeline: estimate c, recode accordingly."""
         from repro.hashing.permutations import PermutationFamily
-        from repro.sketches import containment_from_resemblance
+        from repro.sketches import MinwiseSketch, containment_from_resemblance
 
         rng = random.Random(1)
         sc = make_pair_scenario(600, 1.1, 0.35, rng)
         family = PermutationFamily(128, 1 << 32, seed=44)
-        sk_recv = sc.receiver.minwise_sketch(family)
-        sk_send = sc.sender.minwise_sketch(family)
+        sk_recv = MinwiseSketch.build_vectorized(sc.receiver.ids, family)
+        sk_send = MinwiseSketch.build_vectorized(sc.sender.ids, family)
         r = sk_send.estimate_resemblance(sk_recv)
         # Correlation as the sender computes it: |A ∩ B| / |B| with B the
         # sender's set.
@@ -50,10 +50,16 @@ class TestSketchToTransferPipeline:
 
     def test_art_reconciliation_feeds_informed_transfer(self):
         """§5.3 ARTs used in place of Bloom filters for reconciled sends."""
+        from repro.art import ApproximateReconciliationTree
+
         rng = random.Random(2)
         sc = make_pair_scenario(500, 1.1, 0.3, rng)
-        art_recv = sc.receiver.art(bits_per_element=8, seed=9)
-        art_send = sc.sender.art(bits_per_element=8, seed=9)
+        art_recv = ApproximateReconciliationTree(
+            sc.receiver.ids, bits_per_element=8, seed=9
+        )
+        art_send = ApproximateReconciliationTree(
+            sc.sender.ids, bits_per_element=8, seed=9
+        )
         found = art_send.difference_against(art_recv.summary(), correction=4)
         useful = set(found.differences)
         assert useful <= sc.sender.ids - sc.receiver.ids

@@ -12,7 +12,6 @@ from repro.api.spec import CatalogSpec, SwarmSpec, NodeSpec
 from repro.flow.demand import apportion, zipf_shares
 from repro.overlay.catalog import CatalogNode, CatalogScheme, ObjectCatalog
 from repro.overlay.node import OverlayNode
-from repro.overlay.scenarios import default_family
 from repro.overlay.reconfiguration import SummaryScheme
 
 

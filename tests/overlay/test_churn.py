@@ -12,7 +12,6 @@ from repro.overlay import (
     VirtualTopology,
     run_with_churn,
 )
-from repro.overlay.scenarios import default_family
 
 
 def _random_overlay_sim(**kwargs):
@@ -20,8 +19,7 @@ def _random_overlay_sim(**kwargs):
 
 
 def small_sim(seed=1, target=80, peers=4):
-    fam = default_family()
-    sim = OverlaySimulator(VirtualTopology(), fam, rng=random.Random(seed))
+    sim = OverlaySimulator(VirtualTopology(), rng=random.Random(seed))
     sim.add_node(OverlayNode("src", target, is_source=True))
     for i in range(peers):
         sim.add_node(OverlayNode(f"p{i}", target))

@@ -11,7 +11,6 @@ from repro.overlay import (
     VirtualTopology,
 )
 from repro.overlay.simulator import Connection
-from repro.overlay.scenarios import default_family
 
 
 class TestFractionalBandwidth:
@@ -99,10 +98,8 @@ class TestEventClockEdges:
         # A latency-delayed packet must not crash when its receiver was
         # removed while it was in flight.
         from repro.sim import ConstantRateLink
-
-        fam = default_family()
         sim = OverlaySimulator(
-            VirtualTopology(), fam, rng=random.Random(11),
+            VirtualTopology(), rng=random.Random(11),
             link_factory=lambda chars, s, r: ConstantRateLink(2.0, latency=1.5),
         )
         sim.add_node(OverlayNode("s", 50, is_source=True))
@@ -116,11 +113,9 @@ class TestEventClockEdges:
 
     def test_shared_scheduler_with_nonzero_start(self):
         from repro.sim import EventScheduler
-
-        fam = default_family()
         sched = EventScheduler(start=5.0)
         sim = OverlaySimulator(
-            VirtualTopology(), fam, rng=random.Random(12), scheduler=sched
+            VirtualTopology(), rng=random.Random(12), scheduler=sched
         )
         sim.add_node(OverlayNode("s", 30, is_source=True))
         sim.add_node(OverlayNode("p", 30))
@@ -150,11 +145,10 @@ class TestSimulationReport:
 
 class TestLossyDelivery:
     def test_loss_slows_but_does_not_block(self):
-        fam = default_family()
         results = {}
         for loss in (0.0, 0.4):
             topo = VirtualTopology()
-            sim = OverlaySimulator(topo, fam, rng=random.Random(5))
+            sim = OverlaySimulator(topo, rng=random.Random(5))
             sim.add_node(OverlayNode("s", 60, is_source=True))
             sim.add_node(OverlayNode("p", 60))
             sim.connect("s", "p")
@@ -165,8 +159,7 @@ class TestLossyDelivery:
         assert results[0.4].packets_lost > 0
 
     def test_empty_partial_sender_skipped(self):
-        fam = default_family()
-        sim = OverlaySimulator(VirtualTopology(), fam, rng=random.Random(6))
+        sim = OverlaySimulator(VirtualTopology(), rng=random.Random(6))
         sim.add_node(OverlayNode("empty", 50))
         sim.add_node(OverlayNode("recv", 50, initial_ids=[1]))
         assert sim.connect("empty", "recv")
@@ -175,9 +168,8 @@ class TestLossyDelivery:
 
     def test_strategy_refresh_tracks_growth(self):
         """After refresh, a relay's newly acquired symbols are shareable."""
-        fam = default_family()
         sim = OverlaySimulator(
-            VirtualTopology(), fam, refresh_every=10, rng=random.Random(7)
+            VirtualTopology(), refresh_every=10, rng=random.Random(7)
         )
         sim.add_node(OverlayNode("src", 40, is_source=True))
         sim.add_node(OverlayNode("relay", 40))

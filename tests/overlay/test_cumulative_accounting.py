@@ -20,14 +20,13 @@ import pytest
 
 from repro.api import build, run, specs
 from repro.overlay import OverlayNode, OverlaySimulator, VirtualTopology
-from repro.overlay.scenarios import default_family
 from repro.sim.links import LatencyJitterLink
 
 
 def _pair_sim(target=10, rate=2.0):
     """One source feeding one empty receiver over the default link."""
     sim = OverlaySimulator(
-        VirtualTopology(), default_family(), rng=random.Random(0)
+        VirtualTopology(), rng=random.Random(0)
     )
     sim.add_node(OverlayNode("s", target, is_source=True))
     sim.add_node(OverlayNode("r", target, max_connections=1))

@@ -23,8 +23,8 @@ from repro.overlay.reconfiguration import (
     SketchAdmission,
     SummaryScheme,
     UtilityRewiring,
+    default_scheme,
 )
-from repro.overlay.scenarios import default_family
 from repro.overlay.simulator import OverlaySimulator
 from repro.overlay.topology import VirtualTopology
 from repro.reconcile import summary_kinds
@@ -144,7 +144,6 @@ class TestRewiringConformance:
             rng = derive_rng(7, "reconfig-conformance", kind)
             sim = OverlaySimulator(
                 VirtualTopology(),
-                default_family(),
                 admission=SketchAdmission(scheme),
                 rewiring=UtilityRewiring(scheme, rng=rng),
                 reconfigure_every=4,
@@ -215,18 +214,26 @@ class TestOpenAdmission:
 
 
 class TestSummaryScheme:
-    def test_family_coercion_matches_legacy_usefulness(self):
-        # The Summary-driven estimate and the legacy sketch estimate
-        # must be the same float — the bit-parity cornerstone.
-        family = default_family()
-        scheme = SummaryScheme.from_family(family)
+    def test_default_scheme_matches_minwise_sketch_reference(self):
+        # The min-wise card estimate and a MinwiseSketch over the agreed
+        # family must be the same float — the bit-parity cornerstone.
+        from repro.hashing.permutations import PermutationFamily
+        from repro.sketches import MinwiseSketch
+
+        family = PermutationFamily(128, 1 << 32, seed=99)
         a = _node("a", range(0, 150))
         b = _node("b", range(75, 225))
-        assert scheme.usefulness(a, b) == a.estimated_usefulness_of(b, family)
+        ref = MinwiseSketch.build(a.working_set.ids, family).estimate_resemblance(
+            MinwiseSketch.build(b.working_set.ids, family)
+        )
+        assert default_scheme().usefulness(a, b) == 1.0 - ref
 
-    def test_coerce_rejects_other_types(self):
-        with pytest.raises(TypeError):
-            SummaryScheme.coerce("minwise")
+    def test_default_scheme_is_fresh_per_call(self):
+        # Each scheme carries its simulator's usefulness memo.
+        first, second = default_scheme(), default_scheme()
+        assert first is not second
+        first.set_memo({})
+        assert second._memo is None
 
     def test_unknown_kind_rejected(self):
         from repro.reconcile import UnknownSummaryError
@@ -245,12 +252,10 @@ class TestSummaryScheme:
 
 class TestScheduledEpochs:
     def _sim(self, **kwargs):
-        family = default_family()
-        scheme = SummaryScheme.from_family(family)
+        scheme = default_scheme()
         rng = random.Random(11)
         sim = OverlaySimulator(
             VirtualTopology(),
-            family,
             admission=SketchAdmission(scheme),
             rewiring=UtilityRewiring(scheme, rng=rng),
             rng=rng,
@@ -295,10 +300,9 @@ class TestScheduledEpochs:
     def test_late_policy_assignment_still_fires(self):
         # The historical contract: callers may install a rewiring
         # policy after construction; epoch boundaries pick it up.
-        family = default_family()
         rng = random.Random(12)
         sim = OverlaySimulator(
-            VirtualTopology(), family, reconfigure_every=5, rng=rng
+            VirtualTopology(), reconfigure_every=5, rng=rng
         )
         sim.add_node(OverlayNode("src", 40, is_source=True))
         sim.add_node(OverlayNode("p0", 40, initial_ids=range(10),
@@ -307,14 +311,13 @@ class TestScheduledEpochs:
                                  max_connections=2))
         sim.connect("src", "p0")
         sim.connect("src", "p1")
-        sim.rewiring = UtilityRewiring(SummaryScheme.from_family(family), rng=rng)
+        sim.rewiring = UtilityRewiring(default_scheme(), rng=rng)
         report = sim.run(max_ticks=200)
         assert report.all_complete
         assert report.reconfig_epochs > 0
 
     def test_negative_jitter_and_budget_rejected(self):
-        family = default_family()
         with pytest.raises(ValueError):
-            OverlaySimulator(VirtualTopology(), family, reconfig_jitter=-1.0)
+            OverlaySimulator(VirtualTopology(), reconfig_jitter=-1.0)
         with pytest.raises(ValueError):
-            OverlaySimulator(VirtualTopology(), family, reconfig_budget=-1)
+            OverlaySimulator(VirtualTopology(), reconfig_budget=-1)

@@ -11,8 +11,8 @@ from repro.overlay import (
     SketchAdmission,
     UtilityRewiring,
     VirtualTopology,
+    default_scheme,
 )
-from repro.overlay.scenarios import default_family
 
 
 def _figure1_sim(**kwargs):
@@ -40,55 +40,51 @@ class TestOverlayNode:
         with pytest.raises(RuntimeError):
             n.mint_fresh_id()
 
-    def test_sketch_refreshes_after_updates(self):
-        fam = default_family()
+    def test_card_refreshes_after_updates(self):
+        scheme = default_scheme()
         n = OverlayNode("x", target=10, initial_ids=[1, 2, 3])
-        before = n.sketch(fam).minima
+        first = scheme.card_of(n)
         n.receive_symbol(999_999)
-        after = n.sketch(fam).minima
-        assert before != after or True  # minima may or may not move...
-        # ...but the sketch must reflect the new set exactly:
+        # The card must reflect the new set exactly: the same minima a
+        # MinwiseSketch over the agreed family computes from scratch.
+        from repro.hashing.permutations import PermutationFamily
         from repro.sketches import MinwiseSketch
 
-        expected = MinwiseSketch.build(
-            (i % fam.universe_size for i in n.working_set.ids), fam
-        )
-        assert n.sketch(fam).minima == expected.minima
+        fam = PermutationFamily(128, 1 << 32, seed=99)
+        expected = MinwiseSketch.build(n.working_set.ids, fam)
+        assert scheme.card_of(n) is not first
+        assert scheme.card_of(n).minima == expected.minima
 
     def test_usefulness_identical_vs_disjoint(self):
-        fam = default_family()
+        scheme = default_scheme()
         a = OverlayNode("a", 10, initial_ids=range(100))
         twin = OverlayNode("t", 10, initial_ids=range(100))
         stranger = OverlayNode("s", 10, initial_ids=range(1000, 1100))
-        assert a.estimated_usefulness_of(twin, fam) == pytest.approx(0.0)
-        assert a.estimated_usefulness_of(stranger, fam) > 0.9
+        assert scheme.usefulness(a, twin) == pytest.approx(0.0)
+        assert scheme.usefulness(a, stranger) > 0.9
 
 
 class TestAdmission:
     def test_rejects_identical_content(self):
-        fam = default_family()
-        policy = SketchAdmission(fam, min_usefulness=0.05)
+        policy = SketchAdmission(default_scheme(), min_usefulness=0.05)
         a = OverlayNode("a", 10, initial_ids=range(200))
         twin = OverlayNode("t", 10, initial_ids=range(200))
         assert not policy.admit(a, twin)
 
     def test_admits_source_always(self):
-        fam = default_family()
-        policy = SketchAdmission(fam)
+        policy = SketchAdmission(default_scheme())
         a = OverlayNode("a", 10, initial_ids=range(200))
         src = OverlayNode("s", 10, is_source=True)
         assert policy.admit(a, src)
 
     def test_admits_complementary_peer(self):
-        fam = default_family()
-        policy = SketchAdmission(fam)
+        policy = SketchAdmission(default_scheme())
         a = OverlayNode("a", 10, initial_ids=range(200))
         b = OverlayNode("b", 10, initial_ids=range(500, 700))
         assert policy.admit(a, b)
 
     def test_rejects_empty_candidate(self):
-        fam = default_family()
-        policy = SketchAdmission(fam)
+        policy = SketchAdmission(default_scheme())
         a = OverlayNode("a", 10, initial_ids=range(10))
         empty = OverlayNode("e", 10)
         assert not policy.admit(a, empty)
@@ -96,8 +92,7 @@ class TestAdmission:
 
 class TestRewiring:
     def test_fills_free_slots_first(self):
-        fam = default_family()
-        policy = UtilityRewiring(fam, rng=random.Random(1))
+        policy = UtilityRewiring(default_scheme(), rng=random.Random(1))
         recv = OverlayNode("r", 100, initial_ids=range(50), max_connections=2)
         c1 = OverlayNode("c1", 100, initial_ids=range(100, 150))
         drops, adds = policy.rewire(recv, [], [recv, c1])
@@ -105,8 +100,7 @@ class TestRewiring:
         assert [a.node_id for a in adds] == ["c1"]
 
     def test_swaps_only_with_hysteresis_margin(self):
-        fam = default_family()
-        policy = UtilityRewiring(fam, hysteresis=0.1, rng=random.Random(2))
+        policy = UtilityRewiring(default_scheme(), hysteresis=0.1, rng=random.Random(2))
         recv = OverlayNode("r", 100, initial_ids=range(50), max_connections=1)
         current = OverlayNode("cur", 100, initial_ids=range(50))  # useless twin
         better = OverlayNode("new", 100, initial_ids=range(500, 550))
@@ -115,8 +109,7 @@ class TestRewiring:
         assert [a.node_id for a in adds] == ["new"]
 
     def test_no_swap_between_equivalent_senders(self):
-        fam = default_family()
-        policy = UtilityRewiring(fam, hysteresis=0.1, rng=random.Random(3))
+        policy = UtilityRewiring(default_scheme(), hysteresis=0.1, rng=random.Random(3))
         recv = OverlayNode("r", 100, initial_ids=range(50), max_connections=1)
         cur = OverlayNode("cur", 100, initial_ids=range(500, 550))
         alt = OverlayNode("alt", 100, initial_ids=range(600, 650))
@@ -126,8 +119,7 @@ class TestRewiring:
 
 class TestSimulator:
     def test_source_to_single_peer(self):
-        fam = default_family()
-        sim = OverlaySimulator(VirtualTopology(), fam, rng=random.Random(4))
+        sim = OverlaySimulator(VirtualTopology(), rng=random.Random(4))
         sim.add_node(OverlayNode("s", 50, is_source=True))
         sim.add_node(OverlayNode("p", 50))
         assert sim.connect("s", "p")
@@ -136,16 +128,14 @@ class TestSimulator:
         assert report.completion_ticks["p"] is not None
 
     def test_duplicate_node_rejected(self):
-        fam = default_family()
-        sim = OverlaySimulator(VirtualTopology(), fam)
+        sim = OverlaySimulator(VirtualTopology())
         sim.add_node(OverlayNode("x", 10))
         with pytest.raises(ValueError):
             sim.add_node(OverlayNode("x", 10))
 
     def test_admission_blocks_connection(self):
-        fam = default_family()
         sim = OverlaySimulator(
-            VirtualTopology(), fam, admission=SketchAdmission(fam),
+            VirtualTopology(), admission=SketchAdmission(default_scheme()),
             rng=random.Random(5),
         )
         sim.add_node(OverlayNode("a", 10, initial_ids=range(100)))

@@ -1,14 +1,38 @@
-"""Tests for the event-driven scenario library."""
+"""Tests for the event-driven swarm scenarios, driven through their
+:class:`~repro.api.SimScenario` bundles."""
 
 import pytest
 
-from repro.sim.scenarios import (
-    SCENARIOS,
-    asymmetric_bandwidth_swarm,
-    correlated_regional_loss,
-    flash_crowd,
-    source_departure,
+from repro.api import build, registry, specs
+
+#: The event-driven swarm catalog (join waves, departures, link classes,
+#: correlated loss).
+CATALOG = (
+    "flash_crowd",
+    "source_departure",
+    "asymmetric_bandwidth",
+    "correlated_regional_loss",
 )
+
+
+def _scenario(name, **kwargs):
+    return build(getattr(specs, name)(**kwargs)).scenario
+
+
+def flash_crowd(**kwargs):
+    return _scenario("flash_crowd", **kwargs)
+
+
+def source_departure(**kwargs):
+    return _scenario("source_departure", **kwargs)
+
+
+def asymmetric_bandwidth(**kwargs):
+    return _scenario("asymmetric_bandwidth", **kwargs)
+
+
+def correlated_regional_loss(**kwargs):
+    return _scenario("correlated_regional_loss", **kwargs)
 
 
 class TestFlashCrowd:
@@ -91,14 +115,14 @@ class TestSourceDeparture:
 
 class TestAsymmetricBandwidth:
     def test_completes_with_heterogeneous_links(self):
-        sc = asymmetric_bandwidth_swarm()
+        sc = asymmetric_bandwidth()
         report = sc.run(max_ticks=4000)
         assert report.all_complete
 
     def test_link_classes_differ(self):
         from repro.sim import ConstantRateLink, LatencyJitterLink
 
-        sc = asymmetric_bandwidth_swarm()
+        sc = asymmetric_bandwidth()
         sc.run(max_ticks=4000)
         kinds = {}
         for (s, r), conn in sc.simulator.connections.items():
@@ -110,12 +134,12 @@ class TestAsymmetricBandwidth:
             assert kinds["slow"] == {LatencyJitterLink}
 
     def test_no_fast_class_falls_back_to_source(self):
-        sc = asymmetric_bandwidth_swarm(num_fast=0, num_slow=4, target=60)
+        sc = asymmetric_bandwidth(num_fast=0, num_slow=4, target=60)
         report = sc.run(max_ticks=4000)
         assert report.all_complete
 
     def test_fast_class_finishes_no_later_on_average(self):
-        sc = asymmetric_bandwidth_swarm(num_fast=5, num_slow=5, target=120)
+        sc = asymmetric_bandwidth(num_fast=5, num_slow=5, target=120)
         report = sc.run(max_ticks=4000)
         assert report.all_complete
         fast = [
@@ -149,15 +173,14 @@ class TestCorrelatedRegionalLoss:
 
 class TestCatalog:
     def test_catalog_names_and_types(self):
-        assert set(SCENARIOS) == {
-            "flash_crowd",
-            "source_departure",
-            "asymmetric_bandwidth",
-            "correlated_regional_loss",
-        }
+        assert set(CATALOG) <= set(registry.names())
+        for name in CATALOG:
+            sc = _scenario(name)
+            assert sc.name == name
+            assert sc.simulator.nodes
 
     @pytest.mark.slow
     def test_every_scenario_completes_at_defaults(self):
-        for name, factory in SCENARIOS.items():
-            report = factory().run(max_ticks=8000)
+        for name in CATALOG:
+            report = _scenario(name).run(max_ticks=8000)
             assert report.all_complete, name
