@@ -46,6 +46,17 @@ BENCH_SPECS = {
         budgets="8,16",
         seed=17,
     ),
+    # The overlay catalog at its spec-constructor defaults: each run
+    # completes in well under a second.
+    "figure1": lambda: specs.figure1(seed=5),
+    "random_overlay": lambda: specs.random_overlay(seed=17),
+    "adaptive_overlay": lambda: specs.adaptive_overlay(seed=2),
+    "scale_free_swarm": lambda: specs.scale_free_swarm(seed=3),
+    "cdn_catalog": lambda: specs.cdn_catalog(seed=5),
+    "congested_swarm": lambda: specs.congested_swarm(seed=29),
+    "population_flash_crowd": lambda: specs.population_flash_crowd(
+        population=20_000, seed=9
+    ),
 }
 
 

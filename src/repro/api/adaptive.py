@@ -28,34 +28,40 @@ Packet accounting is cumulative over every connection that ever
 existed — :class:`~repro.overlay.simulator.SimulationReport` counters
 are simulator-owned running totals, so an arm cannot improve its
 reported efficiency by discarding connections along with their
-redundant history.  (This scenario originally reconstructed cumulative
-totals from a :class:`~repro.sim.stats.StatsRecorder` to work around
-the report summing live connections only; the report itself is honest
-now.)  Each arm
+redundant history, and the arms run without a recorder.  Each arm
 reports completion time, useful-symbol fraction, rewiring count, and
 the control bytes its summary cards actually cost on the wire; the
 headline ``informed_useful_gain`` metric is the informed arm's
 useful-fraction lead over the random arm.  The ``reconfig.summary
 .kind`` axis is sweepable, so a campaign turns the accuracy-vs-
 overhead of informed peering into one grid.
+
+Each arm is assembled by the shared swarm skeleton
+(:func:`repro.api.builders._build_swarm`) from an arm-derived seed;
+this module supplies only the mirror wiring function and the arm
+checks (:func:`_require_informed_arm`, shared with
+``scale_free_swarm``).
 """
 
-import math
 import random
 from typing import Dict, List
 
 from repro.api.builders import (
+    _add_source,
+    _attach,
+    _build_swarm,
     _expect_groups,
+    _mirror_slices,
     _reconfig_policies,
-    _reconfig_sim_kwargs,
     _require_swarm,
+    _schedule_waves,
     _seeded_count,
+    _series_recorder,
     _source_group,
-    simulator_class,
 )
 from repro.api.registry import scenario
 from repro.api.result import RunResult
-from repro.api.runner import BuiltExperiment
+from repro.api.runner import BuiltExperiment, SimScenario
 from repro.api.spec import (
     ChurnSpec,
     ExperimentSpec,
@@ -68,9 +74,7 @@ from repro.api.spec import (
 )
 from repro.overlay.node import OverlayNode
 from repro.overlay.simulator import OverlaySimulator, SimulationReport
-from repro.overlay.topology import VirtualTopology
 from repro.seeding import derive_seed
-from repro.sim.stats import StatsRecorder
 
 #: The comparison arms, in reporting order.
 ARMS = ("static", "random", "informed")
@@ -156,74 +160,65 @@ def _build_arm(spec: ExperimentSpec, arm: str) -> OverlaySimulator:
     cumulative totals, so no side recorder is needed.
     """
     swarm = _require_swarm(spec)
-    src_name = _source_group(swarm).member_ids()[0]
     group_a = swarm.group("a")
     group_b = swarm.group("b")
     joiners = swarm.group("p")
     target, distinct = swarm.target, swarm.distinct_symbols
 
+    def populate(scn: SimScenario, rng: random.Random) -> None:
+        sim = scn.simulator
+        src_name = _add_source(sim, swarm)
+        # The two replica groups mirror complementary slices of the
+        # symbol space: in-group peerings offer nothing, cross-group
+        # peerings offer everything.
+        slices = _mirror_slices(
+            rng,
+            distinct,
+            _seeded_count(group_a, target, distinct),
+            _seeded_count(group_b, target, distinct),
+        )
+        for group, ids in zip((group_a, group_b), slices):
+            for name in group.member_ids():
+                node = OverlayNode(
+                    name, target, initial_ids=ids, max_connections=group.max_connections
+                )
+                _attach(sim, node, src_name)
+
+        def admit(batch: List[str]) -> None:
+            for pid in batch:
+                node = OverlayNode(pid, target, max_connections=joiners.max_connections)
+                _attach(sim, node, src_name)
+
+        _schedule_waves(sim, list(joiners.member_ids()), spec.churn, admit)
+
     rng = random.Random(derive_seed(spec.seed, "adaptive_overlay"))
-    admission, rewiring = _reconfig_policies(spec, rng, policy=arm)
-    sim = simulator_class(spec)(
-        VirtualTopology(),
-        admission=admission,
-        rewiring=rewiring,
-        strategy_name=spec.strategy.name,
+    built = _build_swarm(
+        spec,
+        populate,
         rng=rng,
-        **_reconfig_sim_kwargs(spec, swarm),
+        recorder=lambda spec: None,
+        policies=_reconfig_policies(spec, rng, policy=arm),
     )
-    sim.add_node(OverlayNode(src_name, target, is_source=True))
-    # The two replica groups mirror complementary half-slices of the
-    # symbol space: in-group peerings offer nothing, cross-group
-    # peerings offer everything (Figure 1's C/D insight, scaled up).
-    shuffled = list(range(distinct))
-    rng.shuffle(shuffled)
-    slice_a = shuffled[: _seeded_count(group_a, target, distinct)]
-    slice_b = shuffled[
-        len(slice_a) : len(slice_a) + _seeded_count(group_b, target, distinct)
-    ]
-    for group, ids in ((group_a, slice_a), (group_b, slice_b)):
-        for name in group.member_ids():
-            sim.add_node(
-                OverlayNode(
-                    name,
-                    target,
-                    initial_ids=ids,
-                    max_connections=group.max_connections,
-                )
-            )
-            sim.connect(src_name, name)
+    return built.scenario.simulator
 
-    joiner_ids = list(joiners.member_ids())
-    churn = spec.churn
-    if churn is None or churn.join_waves < 1:
-        for pid in joiner_ids:
-            sim.add_node(
-                OverlayNode(pid, target, max_connections=joiners.max_connections)
-            )
-            sim.connect(src_name, pid)
-    else:
-        per_wave = math.ceil(len(joiner_ids) / churn.join_waves)
 
-        def make_wave(batch: List[str]):
-            def join_wave() -> None:
-                for pid in batch:
-                    sim.add_node(
-                        OverlayNode(
-                            pid, target, max_connections=joiners.max_connections
-                        )
-                    )
-                    sim.connect(src_name, pid)
+def _require_informed_arm(spec: ExperimentSpec) -> None:
+    """An arm comparison runs every arm itself from the informed arm's spec.
 
-            return join_wave
-
-        for w in range(churn.join_waves):
-            batch = joiner_ids[w * per_wave : (w + 1) * per_wave]
-            if batch:
-                sim.scheduler.schedule_at(
-                    (w + 1) * float(churn.wave_interval) + 0.5, make_wave(batch)
-                )
-    return sim
+    The summary is therefore selected through ``reconfig.summary`` (the
+    informed arm's cards), and the reconfig policy must be ``informed``.
+    """
+    if spec.strategy.summary is not None:
+        raise SpecError(
+            f"{spec.scenario} compares reconfiguration policies; select the "
+            "summary through reconfig.summary, not strategy.summary"
+        )
+    rc = spec.reconfig if spec.reconfig is not None else ReconfigSpec()
+    if rc.policy != "informed":
+        raise SpecError(
+            f"{spec.scenario} runs every arm itself; its reconfig spec names "
+            f"the informed arm's configuration, not {rc.policy!r}"
+        )
 
 
 @scenario(
@@ -245,27 +240,13 @@ def build_adaptive_overlay(spec: ExperimentSpec) -> BuiltExperiment:
     _source_group(swarm)
     if spec.churn is not None and spec.churn.depart_node:
         raise SpecError("adaptive_overlay does not support departures")
-    if spec.strategy.summary is not None:
-        raise SpecError(
-            "adaptive_overlay compares reconfiguration policies; select the "
-            "summary through reconfig.summary, not strategy.summary"
-        )
-    rc = spec.reconfig if spec.reconfig is not None else ReconfigSpec()
-    if rc.policy != "informed":
-        raise SpecError(
-            "adaptive_overlay runs every arm itself; its reconfig spec names "
-            f"the informed arm's configuration, not {rc.policy!r}"
-        )
+    _require_informed_arm(spec)
 
     def run(built: BuiltExperiment) -> RunResult:
         metrics: Dict[str, float] = {}
         events: List[str] = []
         reports: Dict[str, SimulationReport] = {}
-        series = (
-            StatsRecorder(resolution=spec.measurement.resolution)
-            if spec.measurement.record_series
-            else None
-        )
+        series = _series_recorder(spec)
         for arm in ARMS:
             sim = _build_arm(spec, arm)
             report = sim.run(max_ticks=spec.measurement.max_ticks)

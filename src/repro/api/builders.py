@@ -13,15 +13,28 @@ Each catalog entry has two halves:
   BuiltExperiment` ready to :meth:`~repro.api.runner.BuiltExperiment.
   run`.
 
+Every overlay-swarm builder (here and in :mod:`repro.api.adaptive`,
+:mod:`repro.api.structured` and :mod:`repro.api.congested`) goes
+through one assembly path, :func:`_build_swarm`: seeded RNG, shared
+Gilbert-Elliott chains, a link factory from the swarm's link rules,
+the simulator (:func:`_base_simulator`, the only place an engine is
+constructed), then the scenario's own wiring function, then the churn
+spec's departure and the loss-chain steps.  A scenario keeps only its
+validation and that wiring function: which nodes it creates with which
+ids, and who feeds whom.  Join waves are scheduled by
+:func:`_schedule_waves`.
+
 Every builder draws from one master-seeded RNG in a fixed order, so a
 spec replays bit for bit; ``tests/api/test_api_parity.py`` pins the
-seeded metrics of the default catalog runs.
+seeded metrics of the catalog runs.
 """
 
+import functools
 import math
 import random
 from typing import Callable, Dict, List, Optional
 
+from repro.api import registry
 from repro.api.registry import scenario
 from repro.api.result import RunResult
 from repro.api.runner import BuiltExperiment, SimScenario
@@ -32,9 +45,11 @@ from repro.api.spec import (
     LinkSpec,
     MeasurementSpec,
     NodeSpec,
+    ReconfigSpec,
     SpecError,
     StrategySpec,
     SwarmSpec,
+    TransportSpec,
 )
 from repro.delivery.orchestrator import CandidateSender, JoinPlan, plan_join
 from repro.delivery.receiver import SimReceiver
@@ -169,7 +184,10 @@ def reconfig_scheme(spec: ExperimentSpec) -> SummaryScheme:
 
 
 def _reconfig_policies(
-    spec: ExperimentSpec, rng: random.Random, policy: Optional[str] = None
+    spec: ExperimentSpec,
+    rng: random.Random,
+    policy: Optional[str] = None,
+    scheme: Optional[SummaryScheme] = None,
 ):
     """(admission, rewiring) for a swarm spec's reconfig selection.
 
@@ -177,18 +195,14 @@ def _reconfig_policies(
     explicit selection picks the arm: ``informed`` (summary-driven
     thresholds and utility swaps), ``random`` (uninformed rewiring),
     or ``static`` (no rewiring, structural admission only).  ``policy``
-    overrides the spec's own arm — the ``adaptive_overlay`` scenario
-    uses it to construct every arm from one spec.
+    overrides the spec's own arm — the arm-comparison scenarios use it
+    to construct every arm from one spec — and ``scheme`` the informed
+    arm's :func:`reconfig_scheme` (``cdn_catalog`` gates it by catalog).
     """
-    rc = spec.reconfig
-    if policy is None:
-        policy = rc.policy if rc is not None else "informed"
+    rc = spec.reconfig if spec.reconfig is not None else ReconfigSpec()
+    policy = policy or rc.policy
     if policy == "informed":
-        if rc is None:
-            from repro.api.spec import ReconfigSpec
-
-            rc = ReconfigSpec()
-        scheme = reconfig_scheme(spec)
+        scheme = scheme or reconfig_scheme(spec)
         return (
             SketchAdmission(scheme, min_usefulness=rc.min_usefulness),
             UtilityRewiring(scheme, hysteresis=rc.hysteresis, rng=rng),
@@ -210,64 +224,96 @@ def _reconfig_sim_kwargs(spec: ExperimentSpec, swarm: SwarmSpec) -> Dict[str, fl
     }
 
 
-def _transport_setup(
-    spec: ExperimentSpec,
-    stats: Optional[StatsRecorder],
-    link_factory: Optional[Callable[..., LinkModel]] = None,
-):
-    """(extra simulator kwargs, link factory) for the spec's transport.
+def _series_recorder(
+    spec: ExperimentSpec, resolution: Optional[float] = None
+) -> Optional[StatsRecorder]:
+    """The run's time-series recorder, or None when ``record_series`` is off.
 
-    ``transport`` unset returns the inputs untouched — the builders
-    stay on their bit-identical historical paths.  Set, it assembles
-    the subsystem: an explicit :class:`EventScheduler` (the bottleneck
-    queue reads its clock), a shared :class:`BottleneckQueue` when
-    ``bottleneck_rate > 0``, a :class:`TransportManager` handing each
-    connection its own congestion controller, and a link factory
-    wrapping every constructed link in a :class:`BottleneckLink` so all
-    senders contend for the one queue.
+    ``resolution`` overrides the spec's time bucket for a recorder whose
+    x axis is not simulated time.
     """
-    ts = spec.transport
-    if ts is None:
-        return {}, link_factory
-    scheduler = EventScheduler()
+    if not spec.measurement.record_series:
+        return None
+    return StatsRecorder(
+        resolution=spec.measurement.resolution if resolution is None else resolution
+    )
+
+
+def _transport_manager(
+    ts: TransportSpec, scheduler: EventScheduler, stats: Optional[StatsRecorder]
+) -> TransportManager:
+    """The spec's transport subsystem on ``scheduler``'s clock.
+
+    A :class:`TransportManager` hands each connection its own congestion
+    controller; with ``bottleneck_rate > 0`` it also owns one shared
+    :class:`BottleneckQueue` (``manager.queue``, which reads the
+    scheduler's clock) that every sender's link drains through.
+    """
     queue = None
     if ts.bottleneck_rate > 0:
         queue = BottleneckQueue(
-            ts.bottleneck_rate,
-            ts.bottleneck_buffer,
-            clock=scheduler,
-            stats=stats,
+            ts.bottleneck_rate, ts.bottleneck_buffer, clock=scheduler, stats=stats
         )
-        base_factory = link_factory
-
-        def bottlenecked(
-            chars: PathCharacteristics, sender_id: str, receiver_id: str
-        ) -> LinkModel:
-            if base_factory is not None:
-                inner = base_factory(chars, sender_id, receiver_id)
-            else:
-                inner = ConstantRateLink(chars.bandwidth, chars.loss_rate)
-            return BottleneckLink(inner, queue)
-
-        link_factory = bottlenecked
-    manager = TransportManager(
+    return TransportManager(
         ts.policy,
         ts.params_dict(),
         rto_min=ts.rto_min,
         rto_max=ts.rto_max,
         queue=queue,
     )
-    return {"scheduler": scheduler, "transport": manager}, link_factory
+
+
+def _bottlenecked(
+    link_factory: Optional[Callable[..., LinkModel]], queue: BottleneckQueue
+) -> Callable[..., LinkModel]:
+    """Wrap every link ``link_factory`` builds in the shared queue.
+
+    With no factory the inner link is the path's constant-rate link.
+    """
+
+    def factory(
+        chars: PathCharacteristics, sender_id: str, receiver_id: str
+    ) -> LinkModel:
+        if link_factory is not None:
+            inner = link_factory(chars, sender_id, receiver_id)
+        else:
+            inner = ConstantRateLink(chars.bandwidth, chars.loss_rate)
+        return BottleneckLink(inner, queue)
+
+    return factory
+
+
+#: The registered scenarios with no overlay to adapt; every other
+#: scenario interprets a reconfig selection.
+_NO_OVERLAY_SCENARIOS = frozenset(
+    {"pair_transfer", "multi_sender_transfer", "session_swarm", "summary_tradeoff"}
+)
 
 
 def _reject_reconfig(spec: ExperimentSpec) -> None:
     """Refuse a reconfig selection on a scenario with no overlay to adapt."""
     if spec.reconfig is not None:
+        overlay = [n for n in registry.names() if n not in _NO_OVERLAY_SCENARIOS]
         raise SpecError(
             f"scenario {spec.scenario!r} has no adaptive overlay; a reconfig "
-            "spec applies to the swarm scenarios (flash_crowd, "
-            "source_departure, asymmetric_bandwidth, correlated_regional_loss, "
-            "figure1, random_overlay, adaptive_overlay)"
+            f"spec applies to the overlay scenarios ({', '.join(overlay)})"
+        )
+
+
+def _reject_waves(spec: ExperimentSpec) -> None:
+    """Refuse join waves on a scenario whose membership is fixed at build."""
+    if spec.churn is not None and spec.churn.join_waves:
+        raise SpecError(
+            f"{spec.scenario} does not support join waves; use flash_crowd"
+        )
+
+
+def _reject_node_groups(spec: ExperimentSpec, membership: str) -> None:
+    """Refuse node groups on a scenario whose membership comes from elsewhere."""
+    if _require_swarm(spec).nodes:
+        raise SpecError(
+            f"scenario {spec.scenario!r} {membership}; the swarm spec must "
+            "declare no node groups"
         )
 
 
@@ -288,23 +334,29 @@ def simulator_class(spec: ExperimentSpec):
 def _base_simulator(
     spec: ExperimentSpec,
     rng: random.Random,
+    stats: Optional[StatsRecorder],
     link_factory: Optional[Callable[..., LinkModel]] = None,
     topology: Optional[VirtualTopology] = None,
     policies=None,
-):
-    """The shared simulator assembly every swarm builder starts from.
+) -> OverlaySimulator:
+    """The one place an overlay simulator is constructed.
 
+    It takes the recorder, link factory and topology it is handed;
     ``policies`` overrides the spec's ``(admission, rewiring)`` pair.
+    A transport spec adds an explicit :class:`EventScheduler` (the
+    bottleneck queue reads its clock) and the transport manager, and
+    routes every link through the shared queue when there is one.
     """
     swarm = _require_swarm(spec)
-    stats = (
-        StatsRecorder(resolution=spec.measurement.resolution)
-        if spec.measurement.record_series
-        else None
-    )
     admission, rewiring = policies or _reconfig_policies(spec, rng)
-    transport_kwargs, link_factory = _transport_setup(spec, stats, link_factory)
-    sim = simulator_class(spec)(
+    transport_kwargs = {}
+    if spec.transport is not None:
+        scheduler = EventScheduler()
+        manager = _transport_manager(spec.transport, scheduler, stats)
+        transport_kwargs = {"scheduler": scheduler, "transport": manager}
+        if manager.queue is not None:
+            link_factory = _bottlenecked(link_factory, manager.queue)
+    return simulator_class(spec)(
         topology if topology is not None else VirtualTopology(),
         admission=admission,
         rewiring=rewiring,
@@ -316,7 +368,6 @@ def _base_simulator(
         **transport_kwargs,
         **_reconfig_sim_kwargs(spec, swarm),
     )
-    return sim, stats
 
 
 def _seeded_count(rule: NodeSpec, target: int, distinct: int) -> int:
@@ -330,19 +381,67 @@ def _seeded_count(rule: NodeSpec, target: int, distinct: int) -> int:
     return int(basis * rule.seed_fraction + 1e-9)
 
 
-def _initial_ids(
-    rng: random.Random, rule: NodeSpec, target: int, distinct: int
-) -> List[int]:
-    """Draw one member's initial working set per the group's seeding rule."""
-    if rule.seeding == "empty":
-        return []
-    bound = _seeded_count(rule, target, distinct)
-    if bound <= 0:
-        return []  # a fraction too small to seed a single symbol
-    if rule.seeding == "fixed":
-        return rng.sample(range(distinct), bound)
-    # "uniform": a uniform count in [0, bound).
-    return rng.sample(range(distinct), rng.randrange(0, bound))
+def _peer_node(
+    rng: random.Random, swarm: SwarmSpec, group: NodeSpec, name: str
+) -> OverlayNode:
+    """One member of ``group``, its working set drawn per the group's seeding rule."""
+    target, distinct = swarm.target, swarm.distinct_symbols
+    bound = _seeded_count(group, target, distinct)
+    ids: List[int] = []
+    # A fraction too small to seed a single symbol seeds nothing.
+    if group.seeding == "fixed" and bound > 0:
+        ids = rng.sample(range(distinct), bound)
+    elif group.seeding == "uniform" and bound > 0:
+        ids = rng.sample(range(distinct), rng.randrange(0, bound))
+    return OverlayNode(
+        name, target, initial_ids=ids, max_connections=group.max_connections
+    )
+
+
+def _add_source(sim: OverlaySimulator, swarm: SwarmSpec) -> str:
+    """Add the swarm's single (content-minting) source; returns its id."""
+    name = _source_group(swarm).member_ids()[0]
+    sim.add_node(OverlayNode(name, swarm.target, is_source=True))
+    return name
+
+
+def _attach(sim: OverlaySimulator, node: OverlayNode, feeder: str) -> None:
+    """Add ``node`` and connect it from ``feeder``."""
+    sim.add_node(node)
+    sim.connect(feeder, node.node_id)
+
+
+def _add_group(
+    sim: OverlaySimulator,
+    rng: random.Random,
+    swarm: SwarmSpec,
+    group: NodeSpec,
+    feeder: Callable[[int], str],
+) -> List[str]:
+    """Add ``group``'s members in order, member ``i`` fed by ``feeder(i)``.
+
+    Each member draws, joins and is connected before the next draws.
+    """
+    names = list(group.member_ids())
+    for i, name in enumerate(names):
+        _attach(sim, _peer_node(rng, swarm, group, name), feeder(i))
+    return names
+
+
+def _mirror_slices(rng: random.Random, distinct: int, *sizes: int) -> List[List[int]]:
+    """Consecutive slices of one shuffled ``range(distinct)``, one per size.
+
+    The slices are disjoint, so a peering between holders of different
+    slices is pure gain and one within a slice pure redundancy (Figure
+    1's C/D insight, scaled up to mirror groups).
+    """
+    shuffled = list(range(distinct))
+    rng.shuffle(shuffled)
+    slices, start = [], 0
+    for size in sizes:
+        slices.append(shuffled[start : start + size])
+        start += size
+    return slices
 
 
 def _shared_process(
@@ -389,22 +488,13 @@ def _build_link(
     )
 
 
-def _node_classes(swarm: SwarmSpec) -> Dict[str, str]:
-    """Concrete node id -> link-rule class, from the group definitions."""
-    classes: Dict[str, str] = {}
-    for group in swarm.nodes:
-        for node_id in group.member_ids():
-            classes[node_id] = group.node_class
-    return classes
-
-
 def _link_factory_from_rules(
     swarm: SwarmSpec, shared: Dict[str, GilbertElliottProcess]
 ) -> Optional[Callable[[PathCharacteristics, str, str], LinkModel]]:
     """A per-connection link factory applying the swarm's link rules."""
     if not swarm.links:
         return None
-    classes = _node_classes(swarm)
+    classes = {i: g.node_class for g in swarm.nodes for i in g.member_ids()}
 
     def factory(
         chars: PathCharacteristics, sender_id: str, receiver_id: str
@@ -455,10 +545,10 @@ def _schedule_shared_process_steps(
 
 
 def _schedule_departure(
-    sim: OverlaySimulator, scenario_obj: SimScenario, churn: ChurnSpec
+    sim: OverlaySimulator, scenario_obj: SimScenario, churn: Optional[ChurnSpec]
 ) -> None:
     """Schedule the churn spec's departure event, if any."""
-    if not churn.depart_node:
+    if churn is None or not churn.depart_node:
         return
 
     def depart() -> None:
@@ -511,6 +601,78 @@ def _run_swarm(built: BuiltExperiment) -> RunResult:
         stats=scenario_obj.stats,
         events=list(scenario_obj.events),
         extras=dict(scenario_obj.extras),
+    )
+
+
+def _wave_time(wave: int, interval: float) -> float:
+    """When join wave ``wave`` (0-based) lands.
+
+    Waves land mid-tick (t = k*interval + 0.5): unambiguously after
+    tick k's delivery pass and before tick k+1's, so joiners' first
+    packets flow on the next tick.
+    """
+    return (wave + 1) * float(interval) + 0.5
+
+
+def _schedule_waves(
+    sim: OverlaySimulator,
+    names: List[str],
+    churn: Optional[ChurnSpec],
+    admit_batch: Callable[[List[str]], None],
+) -> None:
+    """Admit ``names`` in ``churn.join_waves`` equal batches, one per wave.
+
+    With no waves (no churn spec, or ``join_waves`` 0) every name is
+    admitted now, during construction.
+    """
+    if churn is None or churn.join_waves < 1:
+        admit_batch(names)
+        return
+    per_wave = math.ceil(len(names) / churn.join_waves)
+    for w in range(churn.join_waves):
+        batch = names[w * per_wave : (w + 1) * per_wave]
+        if batch:
+            sim.scheduler.schedule_at(
+                _wave_time(w, churn.wave_interval), functools.partial(admit_batch, batch)
+            )
+
+
+def _build_swarm(
+    spec: ExperimentSpec,
+    populate: Callable[[SimScenario, random.Random], None],
+    runner: Callable[[BuiltExperiment], RunResult] = _run_swarm,
+    rng: Optional[random.Random] = None,
+    recorder: Callable[[ExperimentSpec], Optional[StatsRecorder]] = _series_recorder,
+    policies=None,
+    topology: Optional[VirtualTopology] = None,
+) -> BuiltExperiment:
+    """The one overlay-swarm assembly path every swarm scenario builds through.
+
+    In a fixed order: ``rng`` (default: seeded with ``spec.seed``), the
+    swarm's shared loss chains (also exposed in ``extras`` by key), a
+    link factory from its link rules, the simulator with ``recorder(spec)``,
+    the scenario's ``populate`` (nodes, ids, who feeds whom, joins), the
+    churn spec's departure, and one step per tick of each loss chain.
+    """
+    swarm = _require_swarm(spec)
+    if rng is None:
+        rng = random.Random(spec.seed)
+    shared = _shared_processes(swarm)
+    sim = _base_simulator(
+        spec,
+        rng,
+        recorder(spec),
+        link_factory=_link_factory_from_rules(swarm, shared),
+        topology=topology,
+        policies=policies,
+    )
+    scenario_obj = SimScenario(spec.scenario, sim, sim.stats, swarm.target)
+    scenario_obj.extras.update(shared)
+    populate(scenario_obj, rng)
+    _schedule_departure(sim, scenario_obj, spec.churn)
+    _schedule_shared_process_steps(sim, scenario_obj, rng, shared)
+    return BuiltExperiment(
+        spec=spec, kind="swarm", scenario=scenario_obj, runner=runner
     )
 
 
@@ -623,7 +785,6 @@ def _build_join_swarm(
     """
     swarm = _require_swarm(spec)
     _expect_groups(swarm, "seed", "p")
-    src_name = _source_group(swarm).member_ids()[0]
     seeds = swarm.group("seed")
     joiners = swarm.group("p")
     churn = spec.churn
@@ -631,60 +792,23 @@ def _build_join_swarm(
         raise SpecError(
             f"{spec.scenario} requires a churn spec with join_waves >= 1"
         )
-    target, distinct = swarm.target, swarm.distinct_symbols
-
-    rng = random.Random(spec.seed)
-    shared = _shared_processes(swarm)
-    sim, stats = _base_simulator(
-        spec, rng, link_factory=_link_factory_from_rules(swarm, shared)
-    )
-    scenario_obj = SimScenario(spec.scenario, sim, stats, target)
     scheme = default_scheme()
 
-    sim.add_node(OverlayNode(src_name, target, is_source=True))
-    for name in seeds.member_ids():
-        ids = _initial_ids(rng, seeds, target, distinct)
-        sim.add_node(
-            OverlayNode(
-                name, target, initial_ids=ids, max_connections=seeds.max_connections
-            )
-        )
-        sim.connect(src_name, name)
+    def populate(scn: SimScenario, rng: random.Random) -> None:
+        sim = scn.simulator
+        src_name = _add_source(sim, swarm)
+        _add_group(sim, rng, swarm, seeds, lambda i: src_name)
 
-    joiner_ids = list(joiners.member_ids())
-    per_wave = math.ceil(len(joiner_ids) / churn.join_waves)
-
-    def make_wave(batch: List[str]) -> Callable[[], None]:
-        def join_wave() -> None:
-            scenario_obj.events.append(
-                f"t={sim.scheduler.now:g} wave of {len(batch)} joins"
-            )
-            plans = scenario_obj.extras.setdefault("join_plans", {})
+        def join_wave(batch: List[str]) -> None:
+            scn.events.append(f"t={sim.scheduler.now:g} wave of {len(batch)} joins")
+            plans = scn.extras.setdefault("join_plans", {})
             for pid in batch:
-                node = OverlayNode(
-                    pid,
-                    target,
-                    initial_ids=_initial_ids(rng, joiners, target, distinct),
-                    max_connections=joiners.max_connections,
-                )
+                node = _peer_node(rng, swarm, joiners, pid)
                 plans[pid] = _join(sim, scheme, node, src_name, rng)
 
-        return join_wave
+        _schedule_waves(sim, list(joiners.member_ids()), churn, join_wave)
 
-    # Waves land mid-tick (t = k*interval + 0.5): unambiguously after
-    # tick k's delivery pass and before tick k+1's, so joiners' first
-    # packets flow on the next tick.
-    for w in range(churn.join_waves):
-        batch = joiner_ids[w * per_wave : (w + 1) * per_wave]
-        if batch:
-            sim.scheduler.schedule_at(
-                (w + 1) * float(churn.wave_interval) + 0.5, make_wave(batch)
-            )
-    _schedule_departure(sim, scenario_obj, churn)
-    _schedule_shared_process_steps(sim, scenario_obj, rng, shared)
-    return BuiltExperiment(
-        spec=spec, kind="swarm", scenario=scenario_obj, runner=runner
-    )
+    return _build_swarm(spec, populate, runner)
 
 
 # ---------------------------------------------------------------------------
@@ -736,41 +860,18 @@ def build_source_departure(spec: ExperimentSpec) -> BuiltExperiment:
     """Completion after the departure needs peer-to-peer reconciliation."""
     swarm = _require_swarm(spec)
     _expect_groups(swarm, "p")
-    if spec.churn is not None and spec.churn.join_waves:
-        raise SpecError(
-            "source_departure does not support join waves; use flash_crowd"
-        )
-    src_name = _source_group(swarm).member_ids()[0]
+    _reject_waves(spec)
     peers = swarm.group("p")
-    target, distinct = swarm.target, swarm.distinct_symbols
 
-    rng = random.Random(spec.seed)
-    shared = _shared_processes(swarm)
-    sim, stats = _base_simulator(
-        spec, rng, link_factory=_link_factory_from_rules(swarm, shared)
-    )
-    scenario_obj = SimScenario("source_departure", sim, stats, target)
+    def populate(scn: SimScenario, rng: random.Random) -> None:
+        sim = scn.simulator
+        src_name = _add_source(sim, swarm)
+        peer_ids = _add_group(sim, rng, swarm, peers, lambda i: src_name)
+        # A sparse peer mesh so perpendicular capacity exists on day one.
+        for i, pid in enumerate(peer_ids):
+            sim.connect(peer_ids[(i + 1) % len(peer_ids)], pid)
 
-    sim.add_node(OverlayNode(src_name, target, is_source=True))
-    peer_ids = list(peers.member_ids())
-    for pid in peer_ids:
-        ids = _initial_ids(rng, peers, target, distinct)
-        sim.add_node(
-            OverlayNode(
-                pid, target, initial_ids=ids, max_connections=peers.max_connections
-            )
-        )
-        sim.connect(src_name, pid)
-    # A sparse peer mesh so perpendicular capacity exists on day one.
-    for i, pid in enumerate(peer_ids):
-        sim.connect(peer_ids[(i + 1) % len(peer_ids)], pid)
-
-    if spec.churn is not None:
-        _schedule_departure(sim, scenario_obj, spec.churn)
-    _schedule_shared_process_steps(sim, scenario_obj, rng, shared)
-    return BuiltExperiment(
-        spec=spec, kind="swarm", scenario=scenario_obj, runner=_run_swarm
-    )
+    return _build_swarm(spec, populate)
 
 
 # ---------------------------------------------------------------------------
@@ -851,48 +952,25 @@ def build_asymmetric_bandwidth(spec: ExperimentSpec) -> BuiltExperiment:
     """Heterogeneous per-connection link models from the swarm's rules."""
     swarm = _require_swarm(spec)
     _expect_groups(swarm, "fast", "slow")
-    if spec.churn is not None and spec.churn.join_waves:
-        raise SpecError(
-            "asymmetric_bandwidth does not support join waves; use flash_crowd"
-        )
-    src_name = _source_group(swarm).member_ids()[0]
+    _reject_waves(spec)
     fast = swarm.group("fast")
     slow = swarm.group("slow")
-    target, distinct = swarm.target, swarm.distinct_symbols
 
-    rng = random.Random(spec.seed)
-    shared = _shared_processes(swarm)
-    sim, stats = _base_simulator(
-        spec, rng, link_factory=_link_factory_from_rules(swarm, shared)
-    )
-    scenario_obj = SimScenario("asymmetric_bandwidth", sim, stats, target)
-    fast_ids = list(fast.member_ids())
-    scenario_obj.extras["fast_class"] = {src_name} | set(fast_ids)
-
-    sim.add_node(OverlayNode(src_name, target, is_source=True))
-    for name in fast_ids:
-        ids = _initial_ids(rng, fast, target, distinct)
-        sim.add_node(
-            OverlayNode(
-                name, target, initial_ids=ids, max_connections=fast.max_connections
-            )
-        )
-        sim.connect(src_name, name)
-    for i, name in enumerate(slow.member_ids()):
-        ids = _initial_ids(rng, slow, target, distinct)
-        sim.add_node(
-            OverlayNode(
-                name, target, initial_ids=ids, max_connections=slow.max_connections
-            )
-        )
+    def populate(scn: SimScenario, rng: random.Random) -> None:
+        sim = scn.simulator
+        src_name = _add_source(sim, swarm)
+        fast_ids = _add_group(sim, rng, swarm, fast, lambda i: src_name)
+        scn.extras["fast_class"] = {src_name} | set(fast_ids)
         # Edge peers bootstrap from the backbone when one exists.
-        sim.connect(fast_ids[i % len(fast_ids)] if fast_ids else src_name, name)
-    if spec.churn is not None:
-        _schedule_departure(sim, scenario_obj, spec.churn)
-    _schedule_shared_process_steps(sim, scenario_obj, rng, shared)
-    return BuiltExperiment(
-        spec=spec, kind="swarm", scenario=scenario_obj, runner=_run_swarm
-    )
+        _add_group(
+            sim,
+            rng,
+            swarm,
+            slow,
+            lambda i: fast_ids[i % len(fast_ids)] if fast_ids else src_name,
+        )
+
+    return _build_swarm(spec, populate)
 
 
 # ---------------------------------------------------------------------------
@@ -973,11 +1051,7 @@ def build_correlated_regional_loss(spec: ExperimentSpec) -> BuiltExperiment:
     """All inter-region links share one Gilbert-Elliott chain."""
     swarm = _require_swarm(spec)
     _expect_groups(swarm, "a", "b")
-    if spec.churn is not None and spec.churn.join_waves:
-        raise SpecError(
-            "correlated_regional_loss does not support join waves; use flash_crowd"
-        )
-    src_name = _source_group(swarm).member_ids()[0]
+    _reject_waves(spec)
     region_a = swarm.group("a")
     region_b = swarm.group("b")
     if region_a.count != region_b.count:
@@ -985,52 +1059,26 @@ def build_correlated_regional_loss(spec: ExperimentSpec) -> BuiltExperiment:
             "correlated_regional_loss requires equal-sized region groups; "
             f"got a={region_a.count}, b={region_b.count}"
         )
-    target, distinct = swarm.target, swarm.distinct_symbols
 
-    rng = random.Random(spec.seed)
-    shared = _shared_processes(swarm)
-    sim, stats = _base_simulator(
-        spec, rng, link_factory=_link_factory_from_rules(swarm, shared)
-    )
-    scenario_obj = SimScenario("correlated_regional_loss", sim, stats, target)
-    if "trunk" in shared:
-        scenario_obj.extras["trunk"] = shared["trunk"]
+    def populate(scn: SimScenario, rng: random.Random) -> None:
+        sim = scn.simulator
+        src_name = _add_source(sim, swarm)
+        a_ids = list(region_a.member_ids())
+        b_ids = list(region_b.member_ids())
+        # Draw a, draw b, add both, then feed a: the pinned order.
+        for a_name, b_name in zip(a_ids, b_ids):
+            a_node = _peer_node(rng, swarm, region_a, a_name)
+            b_node = _peer_node(rng, swarm, region_b, b_name)
+            sim.add_node(a_node)
+            sim.add_node(b_node)
+            sim.connect(src_name, a_name)
+        # Region B reaches content through the trunk initially.
+        for i, b_name in enumerate(b_ids):
+            sim.connect(src_name if i == 0 else a_ids[i], b_name)
+            if i > 0:
+                sim.connect(b_ids[i - 1], b_name)
 
-    sim.add_node(OverlayNode(src_name, target, is_source=True))
-    a_ids = list(region_a.member_ids())
-    b_ids = list(region_b.member_ids())
-    for a_name, b_name in zip(a_ids, b_ids):
-        a_init = _initial_ids(rng, region_a, target, distinct)
-        b_init = _initial_ids(rng, region_b, target, distinct)
-        sim.add_node(
-            OverlayNode(
-                a_name,
-                target,
-                initial_ids=a_init,
-                max_connections=region_a.max_connections,
-            )
-        )
-        sim.add_node(
-            OverlayNode(
-                b_name,
-                target,
-                initial_ids=b_init,
-                max_connections=region_b.max_connections,
-            )
-        )
-        sim.connect(src_name, a_name)
-    # Region B reaches content through the trunk initially.
-    for i, b_name in enumerate(b_ids):
-        sim.connect(src_name if i == 0 else a_ids[i], b_name)
-        if i > 0:
-            sim.connect(b_ids[i - 1], b_name)
-
-    if spec.churn is not None:
-        _schedule_departure(sim, scenario_obj, spec.churn)
-    _schedule_shared_process_steps(sim, scenario_obj, rng, shared)
-    return BuiltExperiment(
-        spec=spec, kind="swarm", scenario=scenario_obj, runner=_run_swarm
-    )
+    return _build_swarm(spec, populate)
 
 
 # ---------------------------------------------------------------------------
@@ -1344,11 +1392,7 @@ def build_session_swarm(spec: ExperimentSpec) -> BuiltExperiment:
             for _ in range(params.num_blocks * params.block_size)
         )
         scheduler = EventScheduler()
-        stats = (
-            StatsRecorder(resolution=spec.measurement.resolution)
-            if spec.measurement.record_series
-            else None
-        )
+        stats = _series_recorder(spec)
         policy = _summary_policy(spec)
         source = ProtocolPeer(
             src_name,
@@ -1357,24 +1401,11 @@ def build_session_swarm(spec: ExperimentSpec) -> BuiltExperiment:
             rng=derive_rng(spec.seed, "session_swarm", src_name),
             summary_policy=policy,
         )
-        ts = spec.transport
-        queue = None
-        manager = None
-        if ts is not None:
-            if ts.bottleneck_rate > 0:
-                queue = BottleneckQueue(
-                    ts.bottleneck_rate,
-                    ts.bottleneck_buffer,
-                    clock=scheduler,
-                    stats=stats,
-                )
-            manager = TransportManager(
-                ts.policy,
-                ts.params_dict(),
-                rto_min=ts.rto_min,
-                rto_max=ts.rto_max,
-                queue=queue,
-            )
+        manager = (
+            _transport_manager(spec.transport, scheduler, stats)
+            if spec.transport is not None
+            else None
+        )
         drivers = []
         sessions = {}
         shared: Dict[str, GilbertElliottProcess] = {}
@@ -1393,8 +1424,8 @@ def build_session_swarm(spec: ExperimentSpec) -> BuiltExperiment:
             )
             sessions[name] = session
             link = _build_link(link_spec, shared)
-            if queue is not None:
-                link = BottleneckLink(link, queue)
+            if manager is not None and manager.queue is not None:
+                link = BottleneckLink(link, manager.queue)
             ctrl = manager.attach(name) if manager is not None else None
             drivers.append(
                 ScheduledSession(
@@ -1498,46 +1529,46 @@ def figure1(
 def build_figure1(spec: ExperimentSpec) -> BuiltExperiment:
     """Captioned working sets + the figure's tree/perpendicular edges."""
     swarm = _require_swarm(spec)
+    _reject_node_groups(spec, "wires the figure's own nodes S and A-E")
     if spec.churn is not None:
         raise SpecError("figure1 does not support churn")
     target = swarm.target
-    rng = random.Random(spec.seed)
-    distinct = list(range(target))
-    rng.shuffle(distinct)
-    half = target // 2
-    quarter = target // 4
-    sets = {
-        "A": distinct[:half],
-        "B": distinct[half:],
-        "C": distinct[:quarter],
-        "D": distinct[quarter : 2 * quarter],  # disjoint from C
-        "E": distinct[half : half + quarter],
-    }
+
+    def populate(scn: SimScenario, rng: random.Random) -> None:
+        sim = scn.simulator
+        distinct = list(range(target))
+        rng.shuffle(distinct)
+        half = target // 2
+        quarter = target // 4
+        sets = {
+            "A": distinct[:half],
+            "B": distinct[half:],
+            "C": distinct[:quarter],
+            "D": distinct[quarter : 2 * quarter],  # disjoint from C
+            "E": distinct[half : half + quarter],
+        }
+        sim.add_node(OverlayNode("S", target, is_source=True))
+        for name, ids in sets.items():
+            sim.add_node(OverlayNode(name, target, initial_ids=ids))
+        # Figure 1(a): the initial multicast tree.
+        for parent, child in (("S", "A"), ("S", "B"), ("A", "C"), ("A", "D"), ("B", "E")):
+            sim.connect(parent, child)
+        if spec.param("with_perpendicular", True):
+            # Figure 1(c/d): collaborative transfers between complementary
+            # working sets (the legend's beneficial exchanges).
+            for sender, receiver in (
+                ("B", "A"), ("A", "B"),
+                ("C", "D"), ("D", "C"),
+                ("B", "C"), ("D", "E"), ("E", "D"), ("C", "E"),
+            ):
+                sim.connect(sender, receiver)
+
     policies = None
     if spec.reconfig is None:
         # The figure contrasts fixed layouts: admission only, no
         # rewiring (the historical construction).
         policies = (SketchAdmission(default_scheme()), None)
-    sim, stats = _base_simulator(spec, rng, policies=policies)
-    scenario_obj = SimScenario("figure1", sim, stats, target)
-    sim.add_node(OverlayNode("S", target, is_source=True))
-    for name, ids in sets.items():
-        sim.add_node(OverlayNode(name, target, initial_ids=ids))
-    # Figure 1(a): the initial multicast tree.
-    for parent, child in (("S", "A"), ("S", "B"), ("A", "C"), ("A", "D"), ("B", "E")):
-        sim.connect(parent, child)
-    if spec.param("with_perpendicular", True):
-        # Figure 1(c/d): collaborative transfers between complementary
-        # working sets (the legend's beneficial exchanges).
-        for sender, receiver in (
-            ("B", "A"), ("A", "B"),
-            ("C", "D"), ("D", "C"),
-            ("B", "C"), ("D", "E"), ("E", "D"), ("C", "E"),
-        ):
-            sim.connect(sender, receiver)
-    return BuiltExperiment(
-        spec=spec, kind="swarm", scenario=scenario_obj, runner=_run_swarm
-    )
+    return _build_swarm(spec, populate, policies=policies)
 
 
 def random_overlay(
@@ -1592,6 +1623,7 @@ def build_random_overlay(spec: ExperimentSpec) -> BuiltExperiment:
     from repro.overlay.topology import PhysicalNetwork
 
     swarm = _require_swarm(spec)
+    _reject_node_groups(spec, "draws its peers from params (num_peers, num_sources)")
     if spec.churn is not None:
         raise SpecError(
             "random_overlay schedules no churn itself; drive a ChurnProcess "
@@ -1605,48 +1637,46 @@ def build_random_overlay(spec: ExperimentSpec) -> BuiltExperiment:
     max_connections = int(spec.param("max_connections", 3))
     with_physical = bool(spec.param("with_physical", True))
 
-    rng = random.Random(spec.seed)
     physical = None
     if with_physical:
         physical = PhysicalNetwork.random_network(
             num_routers=max(4, num_peers // 2), seed=spec.seed
         )
-    sim, stats = _base_simulator(spec, rng, topology=VirtualTopology(physical))
-    scenario_obj = SimScenario("random_overlay", sim, stats, target)
-    nodes: Dict[str, OverlayNode] = {}
-    routers = physical.routers() if physical is not None else []
-    distinct = swarm.distinct_symbols
-    for i in range(num_sources):
-        node = OverlayNode(
-            f"src{i}", target, is_source=True,
-            fresh_id_start=(1 << 40) + i * (1 << 20),
-        )
-        nodes[node.node_id] = node
-    for i in range(num_peers):
-        frac = rng.uniform(lo, hi)
-        count = int(frac * target)
-        ids = rng.sample(range(distinct), count) if count else []
-        nodes[f"p{i}"] = OverlayNode(
-            f"p{i}", target, initial_ids=ids, max_connections=max_connections
-        )
-    for node in nodes.values():
-        if physical is not None and routers:
-            physical.attach_host(
-                node.node_id,
-                rng.choice(routers),
-                bandwidth=rng.uniform(2.0, 6.0),
-                loss_rate=rng.uniform(0.0, 0.01),
+
+    def populate(scn: SimScenario, rng: random.Random) -> None:
+        sim = scn.simulator
+        nodes: Dict[str, OverlayNode] = {}
+        routers = physical.routers() if physical is not None else []
+        for i in range(num_sources):
+            node = OverlayNode(
+                f"src{i}", target, is_source=True,
+                fresh_id_start=(1 << 40) + i * (1 << 20),
             )
-        sim.add_node(node)
-    # Seed the overlay: every peer connects to a source, then rewiring
-    # discovers perpendicular bandwidth on its own.
-    source_ids = [n.node_id for n in nodes.values() if n.is_source]
-    for node in nodes.values():
-        if not node.is_source:
-            sim.connect(rng.choice(source_ids), node.node_id)
-    return BuiltExperiment(
-        spec=spec, kind="swarm", scenario=scenario_obj, runner=_run_swarm
-    )
+            nodes[node.node_id] = node
+        for i in range(num_peers):
+            frac = rng.uniform(lo, hi)
+            count = int(frac * target)
+            ids = rng.sample(range(swarm.distinct_symbols), count) if count else []
+            nodes[f"p{i}"] = OverlayNode(
+                f"p{i}", target, initial_ids=ids, max_connections=max_connections
+            )
+        for node in nodes.values():
+            if physical is not None and routers:
+                physical.attach_host(
+                    node.node_id,
+                    rng.choice(routers),
+                    bandwidth=rng.uniform(2.0, 6.0),
+                    loss_rate=rng.uniform(0.0, 0.01),
+                )
+            sim.add_node(node)
+        # Seed the overlay: every peer connects to a source, then rewiring
+        # discovers perpendicular bandwidth on its own.
+        source_ids = [n.node_id for n in nodes.values() if n.is_source]
+        for node in nodes.values():
+            if not node.is_source:
+                sim.connect(rng.choice(source_ids), node.node_id)
+
+    return _build_swarm(spec, populate, topology=VirtualTopology(physical))
 
 
 __all__ = [

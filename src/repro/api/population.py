@@ -21,17 +21,27 @@ deterministic apportionment (:mod:`repro.flow.demand`), so the
 fidelity axis is directly sweepable in one campaign grid — the
 cross-validation tests pin flow-level useful-fraction and completion
 time against the packet engines on overlapping small-N cells.
+
+Membership and links come from the population spec alone, so swarm
+node groups and link rules are refused.  The packet swarms are built
+from the shared pieces of :mod:`repro.api.builders` (the simulator,
+the mirror slices, the join-wave time) without a recorder; their
+arrival waves are timed from the population layout rather than a
+churn spec.
 """
 
 import random
 from typing import Dict, List, Tuple
 
 from repro.api.builders import (
+    _attach,
+    _base_simulator,
+    _mirror_slices,
     _reconfig_policies,
     _reconfig_sim_kwargs,
+    _reject_node_groups,
     _require_swarm,
-    _summary_policy,
-    simulator_class,
+    _wave_time,
 )
 from repro.api.registry import scenario
 from repro.api.result import RunResult
@@ -49,7 +59,6 @@ from repro.api.spec import (
 from repro.flow.demand import apportion, tier_multipliers, wave_weights, zipf_shares
 from repro.flow.engine import CohortDef, FlowSimulator
 from repro.overlay.node import OverlayNode
-from repro.overlay.topology import VirtualTopology
 from repro.seeding import derive_seed
 from repro.sim.links import ConstantRateLink
 
@@ -150,11 +159,10 @@ class _ObjectLayout:
         self.mirror_a, self.mirror_b = apportion(seeded, [1.0, 1.0])
         joiners = members - seeded
         sizes = apportion(joiners, wave_weights(pop.wave_profile, pop.waves))
-        # Waves land mid-tick (k*interval + 0.5), the catalog's join
-        # convention, so packet-fidelity joiners' first packets flow on
-        # the next tick.
+        # Waves land mid-tick, the catalog's join convention, so
+        # packet-fidelity joiners' first packets flow on the next tick.
         self.waves: List[Tuple[float, int]] = [
-            ((w + 1) * float(pop.wave_interval) + 0.5, n)
+            (_wave_time(w, pop.wave_interval), n)
             for w, n in enumerate(sizes)
             if n > 0
         ]
@@ -342,7 +350,6 @@ def _run_packet(spec: ExperimentSpec) -> RunResult:
     for layout in _population_layout(pop):
         obj = layout.object_id
         rng = random.Random(derive_seed(spec.seed, "population_flash_crowd", obj))
-        admission, rewiring = _reconfig_policies(spec, rng)
         node_mult: Dict[str, float] = {}
 
         def link_factory(chars, sender_id, receiver_id):
@@ -351,23 +358,11 @@ def _run_packet(spec: ExperimentSpec) -> RunResult:
                 loss_rate=pop.loss_rate,
             )
 
-        sim = simulator_class(spec)(
-            VirtualTopology(),
-            admission=admission,
-            rewiring=rewiring,
-            strategy_name=spec.strategy.name,
-            summary_policy=_summary_policy(spec),
-            rng=rng,
-            link_factory=link_factory,
-            **_reconfig_sim_kwargs(spec, swarm),
-        )
+        sim = _base_simulator(spec, rng, None, link_factory=link_factory)
         src = f"origin{obj}"
         sim.add_node(OverlayNode(src, target, is_source=True))
-        # Complementary mirror half-slices, the adaptive_overlay idiom.
-        shuffled = list(range(distinct))
-        rng.shuffle(shuffled)
         half = int(target * MIRROR_FRACTION)
-        slices = (shuffled[:half], shuffled[half : 2 * half])
+        slices = _mirror_slices(rng, distinct, half, half)
         for group, members, ids in (
             ("a", layout.mirror_a, slices[0]),
             ("b", layout.mirror_b, slices[1]),
@@ -376,15 +371,10 @@ def _run_packet(spec: ExperimentSpec) -> RunResult:
             for i in range(members):
                 name = f"{group}{i}"
                 node_mult[name] = mults[_tier_of(i, counts)]
-                sim.add_node(
-                    OverlayNode(
-                        name,
-                        target,
-                        initial_ids=ids,
-                        max_connections=pop.max_connections,
-                    )
+                node = OverlayNode(
+                    name, target, initial_ids=ids, max_connections=pop.max_connections
                 )
-                sim.connect(src, name)
+                _attach(sim, node, src)
 
         def make_wave(wave: int, batch: int):
             counts = tier_counts(batch)
@@ -396,12 +386,8 @@ def _run_packet(spec: ExperimentSpec) -> RunResult:
                 for i in range(batch):
                     name = f"w{wave}p{i}"
                     node_mult[name] = mults[_tier_of(i, counts)]
-                    sim.add_node(
-                        OverlayNode(
-                            name, target, max_connections=pop.max_connections
-                        )
-                    )
-                    sim.connect(src, name)
+                    node = OverlayNode(name, target, max_connections=pop.max_connections)
+                    _attach(sim, node, src)
 
             return join_wave
 
@@ -412,26 +398,12 @@ def _run_packet(spec: ExperimentSpec) -> RunResult:
         completions.extend((float(t), 1) for t in finished)
         totals["population"] += len(report.completion_ticks)
         totals["peers_completed"] += len(finished)
-        totals["packets_sent"] += report.packets_sent
-        totals["packets_lost"] += report.packets_lost
-        totals["packets_useful"] += report.packets_useful
-        totals["reconfigurations"] += report.reconfigurations
-        totals["reconfig_epochs"] += report.reconfig_epochs
-        totals["control_bytes"] += report.control_bytes
+        for key in list(totals)[2:]:  # past the peer counts: report totals
+            totals[key] += getattr(report, key)
         ticks = max(ticks, report.ticks)
         all_complete = all_complete and report.all_complete
     metrics = _population_metrics(
-        spec,
-        population=totals["population"],
-        peers_completed=totals["peers_completed"],
-        ticks=ticks,
-        packets_sent=totals["packets_sent"],
-        packets_lost=totals["packets_lost"],
-        packets_useful=totals["packets_useful"],
-        completions=completions,
-        reconfigurations=totals["reconfigurations"],
-        reconfig_epochs=totals["reconfig_epochs"],
-        control_bytes=totals["control_bytes"],
+        spec, ticks=ticks, completions=completions, **totals
     )
     return RunResult(
         spec=spec, completed=all_complete, metrics=metrics, events=events
@@ -467,10 +439,12 @@ def _run_packet(spec: ExperimentSpec) -> RunResult:
 def build_population_flash_crowd(spec: ExperimentSpec) -> BuiltExperiment:
     """Serve a PopulationSpec at the selected fidelity."""
     swarm = _require_swarm(spec)
-    if swarm.nodes:
+    _reject_node_groups(spec, "takes its membership from the population spec")
+    if swarm.links:
         raise SpecError(
-            "population_flash_crowd takes its membership from the population "
-            "spec; the swarm spec must declare no node groups"
+            "population_flash_crowd links every connection from the population "
+            "spec's rate, loss_rate and rate tiers; the swarm spec must "
+            "declare no link rules"
         )
     if spec.population is None:
         raise SpecError("population_flash_crowd requires a population spec")

@@ -27,26 +27,35 @@ motivation):
 
 Both run on either overlay engine (``measurement.engine``), and their
 miniature campaign grids sweep exactly that axis — the parity tests
-pin reference and columnar to identical seeded metrics.
+pin reference and columnar to identical seeded metrics.  Both build
+through the shared swarm skeleton
+(:func:`repro.api.builders._build_swarm`): this module supplies the
+graph wiring functions, the scale-free arms' always-on recorder (their
+hub-load metrics read it) and the catalog-aware informed scheme.
 """
 
 import math
 import random
 from typing import Dict, List
 
+from repro.api.adaptive import _require_informed_arm
 from repro.api.builders import (
+    _add_source,
+    _attach,
+    _build_swarm,
     _expect_groups,
+    _mirror_slices,
     _reconfig_policies,
-    _reconfig_sim_kwargs,
     _require_swarm,
+    _schedule_waves,
     _seeded_count,
+    _series_recorder,
     _source_group,
     reconfig_scheme,
-    simulator_class,
 )
 from repro.api.registry import scenario
 from repro.api.result import RunResult
-from repro.api.runner import BuiltExperiment
+from repro.api.runner import BuiltExperiment, SimScenario
 from repro.api.spec import (
     CatalogSpec,
     ChurnSpec,
@@ -61,9 +70,7 @@ from repro.api.spec import (
 )
 from repro.overlay.catalog import CatalogNode, CatalogScheme, ObjectCatalog
 from repro.overlay.node import OverlayNode
-from repro.overlay.reconfiguration import SketchAdmission, UtilityRewiring
 from repro.overlay.simulator import SimulationReport
-from repro.overlay.topology import VirtualTopology
 from repro.seeding import derive_seed
 from repro.sim.stats import StatsRecorder
 
@@ -136,56 +143,57 @@ def _scale_free_graph(spec: ExperimentSpec):
     return swarm.topology.generate(peers.count, spec.seed)
 
 
-def _build_scale_free_arm(spec: ExperimentSpec, arm: str, stats: StatsRecorder):
-    """One arm's simulator; both arms draw identical construction streams."""
+def _build_scale_free_arm(spec: ExperimentSpec, arm: str):
+    """One arm's scenario; both arms draw identical construction streams.
+
+    Every arm records per-connection series (the hub-load metrics read
+    them), whatever ``measurement.record_series`` says.
+    """
     swarm = _require_swarm(spec)
-    src_name = _source_group(swarm).member_ids()[0]
     peers = swarm.group("p")
     names = peers.member_ids()
     target, distinct = swarm.target, swarm.distinct_symbols
     graph = _scale_free_graph(spec)
 
-    rng = random.Random(derive_seed(spec.seed, "scale_free_swarm"))
-    admission, rewiring = _reconfig_policies(spec, rng, policy=arm)
-    sim = simulator_class(spec)(
-        VirtualTopology(),
-        admission=admission,
-        rewiring=rewiring,
-        strategy_name=spec.strategy.name,
-        rng=rng,
-        stats=stats,
-        **_reconfig_sim_kwargs(spec, swarm),
-    )
-    sim.add_node(OverlayNode(src_name, target, is_source=True))
-    # Complementary content halves by peer parity: a same-half peering
-    # is pure redundancy, a cross-half peering pure gain — the Figure 1
-    # mirror insight spread over the generated graph.
-    shuffled = list(range(distinct))
-    rng.shuffle(shuffled)
-    count = _seeded_count(peers, target, distinct)
-    halves = (shuffled[:count], shuffled[count : 2 * count])
-    for i, name in enumerate(names):
-        sim.add_node(
-            OverlayNode(
-                name,
-                target,
-                initial_ids=halves[i % 2],
-                max_connections=peers.max_connections,
+    def populate(scn: SimScenario, rng: random.Random) -> None:
+        sim = scn.simulator
+        src_name = _add_source(sim, swarm)
+        # Complementary content halves by peer parity: a same-half peering
+        # is pure redundancy, a cross-half peering pure gain — the Figure 1
+        # mirror insight spread over the generated graph.
+        count = _seeded_count(peers, target, distinct)
+        halves = _mirror_slices(rng, distinct, count, count)
+        for i, name in enumerate(names):
+            sim.add_node(
+                OverlayNode(
+                    name,
+                    target,
+                    initial_ids=halves[i % 2],
+                    max_connections=peers.max_connections,
+                )
             )
-        )
-    # Wire the structured graph, older (hub-heavy) end serving; nodes
-    # the orientation leaves without an inbound edge are fed by the
-    # origin, which otherwise serves through the biggest hub.
-    fed = set()
-    for u, v in graph.edges:
-        sim.connect(names[u], names[v])
-        fed.add(v)
-    for hub in graph.hubs(1):
-        sim.connect(src_name, names[hub])
-    for i, name in enumerate(names):
-        if i not in fed and i not in graph.hubs(1):
-            sim.connect(src_name, name)
-    return sim, graph
+        # Wire the structured graph, older (hub-heavy) end serving; nodes
+        # the orientation leaves without an inbound edge are fed by the
+        # origin, which otherwise serves through the biggest hub.
+        fed = set()
+        for u, v in graph.edges:
+            sim.connect(names[u], names[v])
+            fed.add(v)
+        for hub in graph.hubs(1):
+            sim.connect(src_name, names[hub])
+        for i, name in enumerate(names):
+            if i not in fed and i not in graph.hubs(1):
+                sim.connect(src_name, name)
+
+    rng = random.Random(derive_seed(spec.seed, "scale_free_swarm"))
+    built = _build_swarm(
+        spec,
+        populate,
+        rng=rng,
+        recorder=lambda spec: StatsRecorder(resolution=spec.measurement.resolution),
+        policies=_reconfig_policies(spec, rng, policy=arm),
+    )
+    return built.scenario, graph
 
 
 def _hub_load(stats: StatsRecorder, hub_names) -> float:
@@ -224,33 +232,19 @@ def build_scale_free_swarm(spec: ExperimentSpec) -> BuiltExperiment:
     _scale_free_graph(spec)  # validate the topology selection up front
     if spec.churn is not None:
         raise SpecError("scale_free_swarm does not schedule churn")
-    if spec.strategy.summary is not None:
-        raise SpecError(
-            "scale_free_swarm compares reconfiguration policies; select the "
-            "summary through reconfig.summary, not strategy.summary"
-        )
-    rc = spec.reconfig if spec.reconfig is not None else ReconfigSpec()
-    if rc.policy != "informed":
-        raise SpecError(
-            "scale_free_swarm runs every arm itself; its reconfig spec names "
-            f"the informed arm's configuration, not {rc.policy!r}"
-        )
+    _require_informed_arm(spec)
 
     def run(built: BuiltExperiment) -> RunResult:
         metrics: Dict[str, float] = {}
         events: List[str] = []
         reports: Dict[str, SimulationReport] = {}
-        series = (
-            StatsRecorder(resolution=spec.measurement.resolution)
-            if spec.measurement.record_series
-            else None
-        )
+        series = _series_recorder(spec)
         for arm in SCALE_FREE_ARMS:
-            stats = StatsRecorder(resolution=spec.measurement.resolution)
-            sim, graph = _build_scale_free_arm(spec, arm, stats)
+            scn, graph = _build_scale_free_arm(spec, arm)
+            stats = scn.stats
             peer_names = _require_swarm(spec).group("p").member_ids()
             hub_names = {peer_names[h] for h in graph.hubs(HUB_COUNT)}
-            report = sim.run(max_ticks=spec.measurement.max_ticks)
+            report = scn.run(max_ticks=spec.measurement.max_ticks)
             reports[arm] = report
             load = _hub_load(stats, hub_names)
             metrics[f"ticks[{arm}]"] = float(report.ticks)
@@ -373,22 +367,6 @@ def cdn_catalog(
     )
 
 
-def _catalog_policies(spec: ExperimentSpec, catalog: ObjectCatalog, rng):
-    """(admission, rewiring) with the informed arm catalog-aware."""
-    rc = spec.reconfig
-    policy = rc.policy if rc is not None else "informed"
-    if policy != "informed":
-        return _reconfig_policies(spec, rng)
-    if rc is None:
-        rc = ReconfigSpec()
-    base = reconfig_scheme(spec)
-    scheme = CatalogScheme(catalog, base.kind, base.params_dict())
-    return (
-        SketchAdmission(scheme, min_usefulness=rc.min_usefulness),
-        UtilityRewiring(scheme, hysteresis=rc.hysteresis, rng=rng),
-    )
-
-
 @scenario(
     "cdn_catalog",
     small_spec=lambda: cdn_catalog(
@@ -418,6 +396,8 @@ def build_cdn_catalog(spec: ExperimentSpec) -> BuiltExperiment:
             "cdn_catalog interprets the cdn_tiers topology; set "
             "swarm.topology.kind = 'cdn_tiers'"
         )
+    if spec.churn is not None and spec.churn.depart_node:
+        raise SpecError("cdn_catalog does not support departures")
     if spec.strategy.summary is not None:
         raise SpecError(
             "cdn_catalog selects its summary through reconfig.summary, "
@@ -446,23 +426,10 @@ def build_cdn_catalog(spec: ExperimentSpec) -> BuiltExperiment:
     for u, v in graph.edges:
         parent.setdefault(v, u)
 
-    def run(built: BuiltExperiment) -> RunResult:
-        rng = random.Random(derive_seed(spec.seed, "cdn_catalog"))
-        stats = (
-            StatsRecorder(resolution=spec.measurement.resolution)
-            if spec.measurement.record_series
-            else None
-        )
-        admission, rewiring = _catalog_policies(spec, catalog, rng)
-        sim = simulator_class(spec)(
-            VirtualTopology(),
-            admission=admission,
-            rewiring=rewiring,
-            strategy_name=spec.strategy.name,
-            rng=rng,
-            stats=stats,
-            **_reconfig_sim_kwargs(spec, swarm),
-        )
+    edge_names = list(edges_group.member_ids())
+
+    def populate(scn: SimScenario, rng: random.Random) -> None:
+        sim = scn.simulator
         # The origin holds the entire catalog as a plain (non-minting)
         # fully seeded node: fresh-id minting is not object-addressable,
         # and the catalog's id ranges already carry decoding margin.
@@ -480,73 +447,51 @@ def build_cdn_catalog(spec: ExperimentSpec) -> BuiltExperiment:
         popular = range(math.ceil(catalog.objects / 2))
         cache_ids = [i for o in popular for i in catalog.symbol_ids(o)]
         for name in caches.member_ids():
-            sim.add_node(
-                CatalogNode(
-                    name,
-                    catalog,
-                    demand=(),
-                    initial_ids=cache_ids,
-                    max_connections=caches.max_connections,
-                )
+            node = CatalogNode(
+                name,
+                catalog,
+                demand=(),
+                initial_ids=cache_ids,
+                max_connections=caches.max_connections,
             )
-            sim.connect(origin_name, name)
+            _attach(sim, node, origin_name)
         # Edge peers each demand one object by Zipf rank; the demand
         # map is shuffled so arrival waves do not confound rank order.
-        edge_names = list(edges_group.member_ids())
         demand_rng = random.Random(derive_seed(spec.seed, "cdn_catalog", "demand"))
         assignment = catalog.assign_demand(len(edge_names))
         demand_rng.shuffle(assignment)
-        demand_of = dict(zip(edge_names, assignment))
+        demand_of = scn.extras["demand"] = dict(zip(edge_names, assignment))
 
-        def admit_edge(name: str) -> None:
-            idx = tier2[edge_names.index(name)]
-            sim.add_node(
-                CatalogNode(
+        def admit(batch: List[str]) -> None:
+            for name in batch:
+                node = CatalogNode(
                     name,
                     catalog,
                     demand=(demand_of[name],),
                     max_connections=edges_group.max_connections,
                 )
-            )
-            sim.connect(node_name[parent[idx]], name)
+                _attach(sim, node, node_name[parent[tier2[edge_names.index(name)]]])
 
-        churn = spec.churn
-        if churn is None or churn.join_waves < 1:
-            for name in edge_names:
-                admit_edge(name)
-        else:
-            per_wave = math.ceil(len(edge_names) / churn.join_waves)
+        _schedule_waves(sim, edge_names, spec.churn, admit)
 
-            def make_wave(batch: List[str]):
-                def join_wave() -> None:
-                    for name in batch:
-                        admit_edge(name)
-
-                return join_wave
-
-            for w in range(churn.join_waves):
-                batch = edge_names[w * per_wave : (w + 1) * per_wave]
-                if batch:
-                    sim.scheduler.schedule_at(
-                        (w + 1) * float(churn.wave_interval) + 0.5,
-                        make_wave(batch),
-                    )
-
-        report = sim.run(max_ticks=spec.measurement.max_ticks)
+    def run(built: BuiltExperiment) -> RunResult:
+        scn = built.scenario
+        report = scn.run(max_ticks=spec.measurement.max_ticks)
+        demand_of = scn.extras["demand"]
         metrics: Dict[str, float] = {
             "ticks": float(report.ticks),
             "useful_fraction": report.efficiency,
             "reconfigurations": float(report.reconfigurations),
             "control_bytes": float(report.control_bytes),
         }
-        events: List[str] = [
+        events: List[str] = list(scn.events) + [
             f"run: ticks={report.ticks} "
             f"useful_fraction={report.efficiency:.3f} "
             f"control_bytes={report.control_bytes}"
         ]
         by_rank: Dict[int, List[float]] = {}
         for name in edge_names:
-            node = sim.nodes.get(name)
+            node = scn.simulator.nodes.get(name)
             if node is None or node.completed_at_tick is None:
                 continue
             by_rank.setdefault(demand_of[name], []).append(
@@ -564,12 +509,18 @@ def build_cdn_catalog(spec: ExperimentSpec) -> BuiltExperiment:
             spec=spec,
             completed=report.all_complete,
             metrics=metrics,
-            stats=stats,
+            stats=scn.stats,
             events=events,
             extras={"report": report, "demand": demand_of},
         )
 
-    return BuiltExperiment(spec=spec, kind="swarm", runner=run)
+    # The informed arm is catalog-aware: a candidate holding none of a
+    # peer's wanted objects is rejected before its symbol card counts.
+    rng = random.Random(derive_seed(spec.seed, "cdn_catalog"))
+    base = reconfig_scheme(spec)
+    scheme = CatalogScheme(catalog, base.kind, base.params_dict())
+    policies = _reconfig_policies(spec, rng, scheme=scheme)
+    return _build_swarm(spec, populate, run, rng=rng, policies=policies)
 
 
 __all__ = ["SCALE_FREE_ARMS", "HUB_COUNT", "scale_free_swarm", "cdn_catalog"]

@@ -21,6 +21,7 @@ series aligned without re-running identical transfers.
 import math
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.api.builders import _reject_reconfig, _series_recorder
 from repro.api.registry import scenario
 from repro.api.result import RunResult
 from repro.api.runner import BuiltExperiment
@@ -36,7 +37,6 @@ from repro.delivery.strategies import make_strategy
 from repro.delivery.transfer import simulate_p2p_transfer
 from repro.reconcile import SummaryPolicy, summary_kinds
 from repro.seeding import derive_rng
-from repro.sim.stats import StatsRecorder
 
 #: Discrepancy above which a CPI cell is reported but not run —
 #: ``Θ(d³)`` recovery is the paper's "prohibitive except when d is
@@ -163,8 +163,6 @@ def build_summary_tradeoff(spec: ExperimentSpec) -> BuiltExperiment:
     budgets = _parse_budgets(spec)
     if spec.churn is not None:
         raise SpecError("summary_tradeoff does not support churn")
-    from repro.api.builders import _reject_reconfig
-
     _reject_reconfig(spec)
     if spec.strategy.summary is not None:
         raise SpecError(
@@ -173,11 +171,7 @@ def build_summary_tradeoff(spec: ExperimentSpec) -> BuiltExperiment:
         )
 
     def run(built: BuiltExperiment) -> RunResult:
-        stats = (
-            StatsRecorder(resolution=1.0)
-            if spec.measurement.record_series
-            else None
-        )
+        stats = _series_recorder(spec, resolution=1.0)  # x axis: byte budget
         metrics: Dict[str, float] = {}
         events: List[str] = []
         cells: Dict[Tuple[str, int], Dict[str, Any]] = {}

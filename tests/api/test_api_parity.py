@@ -120,6 +120,104 @@ class TestMiniaturePins:
         assert report.completion_ticks == completion
 
 
+#: Seeded metrics of the registered small specs that have no other exact
+#: pin (population_flash_crowd at packet fidelity): the arm comparisons,
+#: the catalog run and the congested join swarm.  Any change to their
+#: construction order — node ids, RNG draws, connects — moves a float.
+SMALL_SPEC_PINS = {
+    "adaptive_overlay": {
+        "ticks[static]": 45.0,
+        "packets_sent[static]": 320.0,
+        "useful_fraction[static]": 1.0,
+        "reconfigurations[static]": 0.0,
+        "control_bytes[static]": 0.0,
+        "ticks[random]": 24.0,
+        "packets_sent[random]": 410.0,
+        "useful_fraction[random]": 0.7804878048780488,
+        "reconfigurations[random]": 40.0,
+        "control_bytes[random]": 0.0,
+        "ticks[informed]": 25.0,
+        "packets_sent[informed]": 343.0,
+        "useful_fraction[informed]": 0.9329446064139941,
+        "reconfigurations[informed]": 38.0,
+        "control_bytes[informed]": 261112.0,
+        "informed_useful_gain": 0.15245680153594532,
+    },
+    "scale_free_swarm": {
+        "ticks[random]": 30.0,
+        "useful_fraction[random]": 0.38095238095238093,
+        "reconfigurations[random]": 48.0,
+        "control_bytes[random]": 0.0,
+        "hub_load_fraction[random]": 0.3656462585034014,
+        "ticks[informed]": 10.0,
+        "useful_fraction[informed]": 0.8517110266159695,
+        "reconfigurations[informed]": 28.0,
+        "control_bytes[informed]": 334100.0,
+        "hub_load_fraction[informed]": 0.2889733840304182,
+        "informed_useful_gain": 0.4707586456635886,
+        "hub_relief": 0.07667287447298315,
+    },
+    "cdn_catalog": {
+        "ticks": 59.0,
+        "useful_fraction": 0.4910891089108911,
+        "reconfigurations": 29.0,
+        "control_bytes": 412400.0,
+        "completion_rank0": 24.25,
+        "completion_rank1": 24.0,
+        "completion_rank2": 48.5,
+    },
+    "congested_swarm": {
+        "ticks": 62.0,
+        "packets_sent": 538.0,
+        "packets_lost": 122.0,
+        "packets_useful": 133.0,
+        "reconfigurations": 15.0,
+        "efficiency": 0.31971153846153844,
+        "overhead": 3.1278195488721803,
+        "last_completion_tick": 61.0,
+        "reconfig_epochs": 3.0,
+        "reconfig_control_bytes": 138780.0,
+        "transport_tracked": 538.0,
+        "transport_acked": 416.0,
+        "transport_timeouts": 108.0,
+        "queue_offered": 538.0,
+        "queue_drops": 122.0,
+        "queue_drop_rate": 0.22676579925650558,
+        "queue_delay_mean": 0.9119591346153846,
+        "goodput": 2.1451612903225805,
+        "useful_fraction": 0.24721189591078066,
+    },
+    "population_flash_crowd": {
+        "population": 16.0,
+        "peers_completed": 16.0,
+        "completed_fraction": 1.0,
+        "ticks": 26.0,
+        "packets_sent": 772.0,
+        "packets_lost": 10.0,
+        "packets_useful": 672.0,
+        "useful_fraction": 0.8818897637795275,
+        "last_completion_tick": 26.0,
+        "mean_completion_tick": 17.5,
+        "reconfigurations": 47.0,
+        "reconfig_epochs": 5.0,
+        "reconfig_control_bytes": 411200.0,
+    },
+}
+
+
+class TestSmallSpecPins:
+    @pytest.mark.parametrize("name", sorted(SMALL_SPEC_PINS))
+    def test_small_spec_metrics_are_pinned(self, name):
+        from repro.api import registry
+
+        spec = registry.small_spec(name)
+        if name == "population_flash_crowd":
+            spec = spec.with_override("measurement.fidelity", "packet")
+        result = run(spec)
+        assert result.completed
+        assert result.metrics == SMALL_SPEC_PINS[name]
+
+
 class TestDeliveryParity:
     def test_pair_transfer_matches_hand_wired_loop(self):
         seed = 1234
@@ -427,3 +525,103 @@ class TestSpecFidelity:
         )
         with pytest.raises(SpecError, match="churn"):
             build(session)
+
+
+def _with_links(spec, *rules):
+    import dataclasses
+
+    return dataclasses.replace(
+        spec, swarm=dataclasses.replace(spec.swarm, links=tuple(rules))
+    )
+
+
+class TestSwarmSelectionsHonoured:
+    """Every overlay swarm builds through one skeleton, so a swarm-level
+    selection is either applied or refused — never silently dropped."""
+
+    @pytest.mark.parametrize(
+        "name",
+        ["figure1", "random_overlay", "adaptive_overlay", "scale_free_swarm", "cdn_catalog"],
+    )
+    def test_link_rules_apply(self, name):
+        from repro.api import LinkRuleSpec, LinkSpec, registry
+
+        base = registry.small_spec(name).with_override("measurement.max_ticks", 300)
+        lossy = _with_links(
+            base, LinkRuleSpec(link=LinkSpec(kind="constant", rate=2.0, loss_rate=0.9))
+        )
+        clean, noisy = run(base), run(lossy)
+        assert noisy.metrics != clean.metrics
+        if noisy.report is not None:
+            assert noisy.report.packets_lost > noisy.report.packets_sent / 2
+
+    def test_shared_loss_chain_steps_on_fixed_overlays(self):
+        from repro.api import LinkRuleSpec, LinkSpec, registry
+
+        chain = LinkSpec(
+            kind="gilbert_elliott", rate=2.0, p_good_bad=0.3, p_bad_good=0.3,
+            loss_bad=0.8, shared_key="bursty",
+        )
+        result = run(_with_links(registry.small_spec("figure1"), LinkRuleSpec(link=chain)))
+        assert any("bursty -> bad" in e for e in result.events)
+
+    @pytest.mark.parametrize("name", ["figure1", "random_overlay"])
+    def test_node_groups_rejected_on_fixed_overlays(self, name):
+        import dataclasses
+
+        from repro.api import NodeSpec, SpecError, build, registry
+
+        base = registry.small_spec(name)
+        extra = dataclasses.replace(
+            base,
+            swarm=dataclasses.replace(
+                base.swarm, nodes=(NodeSpec(name="extra", count=3),)
+            ),
+        )
+        with pytest.raises(SpecError, match="no node groups"):
+            build(extra)
+
+    @pytest.mark.parametrize("fidelity", ["packet", "flow"])
+    def test_population_rejects_link_rules(self, fidelity):
+        from repro.api import LinkRuleSpec, LinkSpec, SpecError, build, registry
+
+        spec = registry.small_spec("population_flash_crowd").with_override(
+            "measurement.fidelity", fidelity
+        )
+        lossy = _with_links(
+            spec, LinkRuleSpec(link=LinkSpec(kind="constant", rate=2.0, loss_rate=0.9))
+        )
+        with pytest.raises(SpecError, match="no link rules"):
+            build(lossy)
+
+    def test_reconfig_rejection_names_exactly_the_accepting_scenarios(self):
+        import re
+
+        from repro.api import SpecError, build, registry
+
+        accepting, rejections = set(), {}
+        for name in registry.names():
+            try:
+                build(registry.small_spec(name).with_reconfig("informed"))
+            except SpecError as exc:
+                rejections[name] = str(exc)
+            else:
+                accepting.add(name)
+        assert accepting and rejections
+        for name, message in rejections.items():
+            listed = re.search(r"applies to the overlay scenarios \(([^)]*)\)", message)
+            assert listed, message
+            assert set(listed.group(1).split(", ")) == accepting, name
+
+    @pytest.mark.parametrize("name", ["adaptive_overlay", "cdn_catalog"])
+    def test_departure_rejected_where_unsupported(self, name):
+        import dataclasses
+
+        from repro.api import SpecError, build, registry
+
+        base = registry.small_spec(name)
+        leaving = dataclasses.replace(
+            base, churn=dataclasses.replace(base.churn, depart_node="src", depart_at=6.0)
+        )
+        with pytest.raises(SpecError, match="does not support departures"):
+            build(leaving)
